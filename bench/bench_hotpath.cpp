@@ -15,7 +15,7 @@
  *                 [--faults K] [--no-cache] [--out FILE]
  *                 [--traffic uniform|transpose|bitrev|hotspot]
  *                 [--trace-overhead] [--health-overhead]
- *                 [--churn-overhead] [--shards S] [--cache-pairs]
+ *                 [--churn-overhead] [--cache-pairs]
  *
  * --trace-overhead runs every configuration twice in a paired
  * A/B — trace sink detached (the normal production setting) and
@@ -48,16 +48,6 @@
  * must agree on delivered/hops exactly — the binary fails if they
  * diverge — and the cycles/sec ratio is the speedup the compressed
  * 16-byte entries buy (docs/PERF.md quotes these numbers).
- *
- * --shards S is the paired A/B for intra-simulation sharding:
- * every configuration runs serial (SimConfig::shards = 1) and again
- * sharded across S worker threads, and each rung reports its
- * *effective* shard count in a "shards" field (SsdtBalanced pins
- * itself serial, so its sharded rung records 1).  Sharding is
- * byte-deterministic, so the paired rungs must agree on delivered /
- * hops exactly — the A/B isolates pure scheduling overhead or
- * speedup.  Meaningful speedups need >= S free cores; see
- * docs/PERF.md for the single-core methodology note.
  *
  * --net-size 0 (default) runs the full {64, 256, 1024} ladder; a
  * specific size runs only that one (the perf-smoke ctest uses
@@ -105,7 +95,6 @@ struct Options
     bool traceOverhead = false;
     bool healthOverhead = false;
     bool churnOverhead = false;
-    unsigned shards = 0; //!< 0 = no paired sharding rungs
     std::string traffic = "uniform"; //!< uniform|transpose|bitrev|hotspot
     std::string out = "BENCH_hotpath.json";
 };
@@ -141,7 +130,6 @@ struct ConfigResult
     const char *traceMode = nullptr; //!< "off"/"on" in paired mode
     const char *healthMode = nullptr; //!< "off"/"on" in paired mode
     const char *churnMode = nullptr; //!< "off"/"on" in paired mode
-    unsigned shards = 0; //!< effective shard count; 0 = field absent
 };
 
 std::uint64_t
@@ -157,8 +145,8 @@ percentileNs(std::vector<std::uint64_t> &sorted, double q)
 ConfigResult
 runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
           const Options &opt, obs::TraceSink *sink = nullptr,
-          bool churn = false, unsigned shards = 1,
-          bool force_no_cache = false, bool health = false)
+          bool churn = false, bool force_no_cache = false,
+          bool health = false)
 {
     SimConfig cfg;
     cfg.netSize = n_size;
@@ -166,7 +154,6 @@ runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
     cfg.injectionRate = opt.rate;
     cfg.seed = 97;
     cfg.routeCache = !opt.noCache && !force_no_cache;
-    cfg.shards = shards;
 
     // Static random-link blockages, deterministically derived from
     // (N, count) so reruns and cached/uncached pairs see identical
@@ -235,8 +222,6 @@ runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
     r.stepP50Ns = percentileNs(stepNs, 0.50);
     r.stepP99Ns = percentileNs(stepNs, 0.99);
     r.delivered = s.metrics().delivered();
-    if (shards != 1)
-        r.shards = s.shards(); // effective count, after clamping
     return r;
 }
 
@@ -297,10 +282,6 @@ writeReport(std::ostream &os, const Options &opt,
         if (r.churnMode != nullptr) {
             w.key("churn_mode");
             w.value(r.churnMode);
-        }
-        if (r.shards != 0) {
-            w.key("shards");
-            w.value(static_cast<std::uint64_t>(r.shards));
         }
         w.endObject();
     }
@@ -375,13 +356,6 @@ parseArgs(int argc, char **argv, Options &opt)
                 opt.healthOverhead = true;
             } else if (flag == "--churn-overhead") {
                 opt.churnOverhead = true;
-            } else if (flag == "--shards") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                opt.shards = static_cast<unsigned>(std::stoul(v));
-                if (opt.shards < 2)
-                    return false;
             } else if (flag == "--traffic") {
                 const char *v = next();
                 if (!v)
@@ -423,8 +397,8 @@ main(int argc, char **argv)
                      "[--no-cache] [--traffic "
                      "uniform|transpose|bitrev|hotspot] "
                      "[--trace-overhead] [--health-overhead] "
-                     "[--churn-overhead] "
-                     "[--shards S] [--cache-pairs] [--out FILE]\n";
+                     "[--churn-overhead] [--cache-pairs] "
+                     "[--out FILE]\n";
         return 2;
     }
 
@@ -490,7 +464,7 @@ main(int argc, char **argv)
                     off.healthMode = "off";
                     auto on =
                         runConfig(n_size, scheme, fault_links, opt,
-                                  nullptr, false, 1, false, true);
+                                  nullptr, false, false, true);
                     on.healthMode = "on";
                     const double pct =
                         off.cyclesPerSec > 0
@@ -518,7 +492,7 @@ main(int argc, char **argv)
                         runConfig(n_size, scheme, fault_links, opt);
                     const auto off =
                         runConfig(n_size, scheme, fault_links, opt,
-                                  nullptr, false, 1, true);
+                                  nullptr, false, true);
                     if (on.delivered != off.delivered ||
                         on.hops != off.hops) {
                         std::cerr << "cached run diverged from "
@@ -538,42 +512,6 @@ main(int argc, char **argv)
                         on.hopsPerSec, off.cyclesPerSec, speedup);
                     results.push_back(on);
                     results.push_back(off);
-                    continue;
-                }
-                if (opt.shards != 0) {
-                    // Paired A/B: identical config, serial then
-                    // sharded.  Determinism makes delivered/hops a
-                    // built-in cross-check between the rungs.
-                    auto serial =
-                        runConfig(n_size, scheme, fault_links, opt,
-                                  nullptr, false, 1);
-                    serial.shards = 1;
-                    const auto sharded =
-                        runConfig(n_size, scheme, fault_links, opt,
-                                  nullptr, false, opt.shards);
-                    if (serial.delivered != sharded.delivered ||
-                        serial.hops != sharded.hops) {
-                        std::cerr << "sharded run diverged from "
-                                     "serial (determinism bug)\n";
-                        return 1;
-                    }
-                    const double speedup =
-                        serial.cyclesPerSec > 0
-                            ? sharded.cyclesPerSec /
-                                  serial.cyclesPerSec
-                            : 0.0;
-                    std::printf(
-                        "%5u  %-13s %6zu  %5s %12.0f  %12.0f  "
-                        "shards=%u: %12.0f  (x%.2f)\n",
-                        serial.netSize,
-                        routingSchemeName(serial.scheme),
-                        serial.faultLinks,
-                        serial.routeCache ? "on" : "off",
-                        serial.cyclesPerSec, serial.hopsPerSec,
-                        sharded.shards, sharded.cyclesPerSec,
-                        speedup);
-                    results.push_back(serial);
-                    results.push_back(sharded);
                     continue;
                 }
                 if (opt.churnOverhead) {

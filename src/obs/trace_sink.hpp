@@ -27,13 +27,6 @@
  * parks (sink, packet, cycle) in a thread-local slot around each
  * injection-time REROUTE call and reroute.cpp emits Reroute events
  * through it.
- *
- * The single-owner contract also interacts with intra-simulation
- * sharding (SimConfig::shards): a sink's event order is defined to
- * be the serial service order, and recording is an unsynchronized
- * store, so a simulator with an attached sink pins itself to the
- * serial step — sharded execution resumes when the sink is
- * detached.  See docs/SIMULATOR.md "Intra-simulation sharding".
  */
 
 #ifndef IADM_OBS_TRACE_SINK_HPP

@@ -102,43 +102,7 @@ NetworkSim::NetworkSim(const SimConfig &cfg,
         rcacheEnabled_ = cfg.routeCache;
     }
     pending_.reserve(cfg.netSize);
-    // Intra-sim sharding: clamp, partition rows contiguously, and
-    // spin up the persistent pool.  SsdtBalanced is pinned serial —
-    // its emptier-queue choice reads next-stage depths mid-scan,
-    // which no deterministic merge can decompose (docs/SIMULATOR.md).
-    shards_ = cfg.shards == 0 ? 1 : cfg.shards;
-    if (shards_ > cfg.netSize)
-        shards_ = static_cast<unsigned>(cfg.netSize);
-    if (cfg.scheme == RoutingScheme::SsdtBalanced)
-        shards_ = 1;
-    // Closed-loop traffic gets onRetire callbacks from the service
-    // loop, which shards would run concurrently: pin serial, exactly
-    // like SsdtBalanced.
-    if (feedback_)
-        shards_ = 1;
-    if (shards_ > 1) {
-        rowsPerShard_ =
-            static_cast<Label>((cfg.netSize + shards_ - 1) / shards_);
-        pool_ = std::make_unique<ShardPool>(shards_);
-        shard_.resize(shards_);
-        shardMetrics_.reserve(shards_);
-        for (unsigned k = 0; k < shards_; ++k)
-            shardMetrics_.emplace_back(cfg.netSize, topo_.stages());
-        events_.setShardCount(shards_);
-    }
     refreshFaultView();
-}
-
-void
-NetworkSim::foldShardMetrics() const
-{
-    if (!shardDirty_)
-        return;
-    shardDirty_ = false;
-    for (auto &m : shardMetrics_) {
-        metrics_.merge(m);
-        m = Metrics(cfg_.netSize, topo_.stages());
-    }
 }
 
 void
@@ -155,49 +119,17 @@ void
 NetworkSim::resetMetrics()
 {
     metrics_ = Metrics(cfg_.netSize, topo_.stages());
-    for (auto &m : shardMetrics_)
-        m = Metrics(cfg_.netSize, topo_.stages());
-    shardDirty_ = false;
 }
 
 std::size_t
 NetworkSim::inFlight() const
 {
 #ifdef IADM_SANITIZE_BUILD
-    // Shard-aware: while worker phases run (merging_), per-shard
-    // deltas have not been folded into inFlight_ yet and a totalSize
-    // scan would race with in-flight queue commits — the cross-check
-    // is only meaningful between phases, where phase C has restored
-    // the invariant.
-    IADM_ASSERT(merging_ || inFlight_ == queues_.totalSize(),
+    IADM_ASSERT(inFlight_ == queues_.totalSize(),
                 "inFlight counter drift: ", inFlight_,
                 " != ", queues_.totalSize());
 #endif
     return inFlight_;
-}
-
-void
-NetworkSim::reconcileRow(unsigned stage, Label j)
-{
-    // Idempotent: compares the occupancy bit against the final queue
-    // state, so a row touched by several phase records settles after
-    // the first call and the rest are no-ops.
-    const std::size_t q = queues_.qid(stage, j);
-    const std::size_t w =
-        static_cast<std::size_t>(stage) * occWordsPerStage_ +
-        (j >> 6);
-    const std::uint64_t bit = std::uint64_t{1} << (j & 63);
-    const bool marked = (occWords_[w] & bit) != 0;
-    const bool occupied = !queues_.empty(q);
-    if (marked == occupied)
-        return;
-    if (occupied) {
-        occWords_[w] |= bit;
-        ++stageOccupied_[stage];
-    } else {
-        occWords_[w] &= ~bit;
-        --stageOccupied_[stage];
-    }
 }
 
 void
@@ -539,8 +471,7 @@ NetworkSim::inject()
 
 template <RoutingScheme S, bool Traced>
 std::optional<topo::Link>
-NetworkSim::chooseLink(unsigned stage, Label j, Packet &p,
-                       Metrics &m)
+NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
 {
     // Constant null when untraced: every hook below folds away and
     // this instantiation matches a trace-off build's code exactly.
@@ -577,7 +508,7 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p,
         if (flip) {
             ssdtState_.flip(stage, j);
             ++p.reroutes;
-            m.recordReroute(stage);
+            metrics_.recordReroute(stage);
             IADM_TRACE_EVENT(
                 trace, obs::EventKind::StateFlip, p.id, now_, stage,
                 j, static_cast<std::uint8_t>(spare_kind),
@@ -604,11 +535,11 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p,
             core::rerouteFromSwitch(topo_, faults_, stage, j, p.tag);
         if (!re)
             return std::nullopt;
-        m.recordRecovery(
+        metrics_.recordRecovery(
             now_ - (p.movedAt == ~Cycle{0} ? p.injected : p.movedAt));
         p.tag = *re;
         ++p.reroutes;
-        m.recordReroute(stage);
+        metrics_.recordReroute(stage);
         IADM_TRACE_EVENT(trace, obs::EventKind::Reroute, p.id, now_,
                          stage, j, obs::TraceEvent::kNoLink, 1,
                          static_cast<Label>(p.tag.destination()),
@@ -629,7 +560,7 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p,
                 p.tag.flipStateBit(stage);
                 cachePath(p);
                 ++p.reroutes;
-                m.recordReroute(stage);
+                metrics_.recordReroute(stage);
                 IADM_TRACE_EVENT(
                     trace, obs::EventKind::Reroute, p.id, now_,
                     stage, j, static_cast<std::uint8_t>(spare_kind),
@@ -660,7 +591,7 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p,
         p.tag = *re;
         cachePath(p);
         ++p.reroutes;
-        m.recordReroute(stage);
+        metrics_.recordReroute(stage);
         IADM_TRACE_EVENT(trace, obs::EventKind::Reroute, p.id, now_,
                          stage, j, obs::TraceEvent::kNoLink,
                          stats.bitsChanged,
@@ -686,7 +617,7 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p,
         if (!fview_.isBlocked(
                 ltab_.index(stage, j, topo::LinkKind::Minus))) {
             ++p.reroutes;
-            m.recordReroute(stage);
+            metrics_.recordReroute(stage);
             IADM_TRACE_EVENT(
                 trace, obs::EventKind::Reroute, p.id, now_, stage,
                 j,
@@ -732,6 +663,28 @@ NetworkSim::gatherOccupied(unsigned stage, Label offset)
     emitRange(offset, cfg_.netSize);
     emitRange(0, offset);
     return cnt;
+}
+
+template <bool Traced>
+void
+NetworkSim::retire(unsigned stage, Label j, const Packet &head,
+                   DropReason reason)
+{
+    [[maybe_unused]] obs::TraceSink *const trace =
+        Traced ? trace_ : nullptr;
+    metrics_.recordDropped(stage, reason);
+    IADM_TRACE_EVENT(trace, obs::EventKind::Drop, head.id, now_, stage,
+                     j, obs::TraceEvent::kNoLink, head.dst,
+                     static_cast<Label>(head.tag.destination()),
+                     static_cast<Label>(head.tag.stateBits()),
+                     reason == DropReason::Unroutable
+                         ? obs::TraceEvent::kFlagUnroutable
+                         : std::uint8_t{0});
+    const Label src = head.src; // the slot is recycled by dropAt()
+    dropAt(stage, j);
+    --inFlight_;
+    if (feedback_)
+        traffic_->onRetire(src);
 }
 
 template <RoutingScheme S, bool Traced>
@@ -829,9 +782,7 @@ NetworkSim::advanceStageImpl(unsigned stage)
         [[maybe_unused]] const auto parkOrDrop = [&](Packet &h) {
             const bool dynamic_env =
                 events_.pending() != 0 || !churn_.empty();
-            const bool aged = cfg_.maxPacketAge != 0 &&
-                              now_ - h.injected >= cfg_.maxPacketAge;
-            if (dynamic_env && !aged) {
+            if (dynamic_env && !aged(h)) {
                 metrics_.recordStall(stage);
                 IADM_TRACE_EVENT(
                     trace, obs::EventKind::Stall, h.id, now_, stage,
@@ -840,17 +791,7 @@ NetworkSim::advanceStageImpl(unsigned stage)
                     static_cast<Label>(h.tag.stateBits()));
                 return;
             }
-            metrics_.recordDropped(stage, DropReason::Unroutable);
-            IADM_TRACE_EVENT(
-                trace, obs::EventKind::Drop, h.id, now_, stage, j,
-                obs::TraceEvent::kNoLink, h.dst,
-                static_cast<Label>(h.tag.destination()),
-                static_cast<Label>(h.tag.stateBits()),
-                obs::TraceEvent::kFlagUnroutable);
-            dropAt(stage, j);
-            --inFlight_;
-            if (feedback_)
-                traffic_->onRetire(h.src);
+            retire<Traced>(stage, j, h, DropReason::Unroutable);
         };
 
         // Only the dynamic scheme can carry a FAIL verdict (the
@@ -889,21 +830,9 @@ NetworkSim::advanceStageImpl(unsigned stage)
                     // cap must cover this wait class too, or such
                     // cycles wedge until churn happens to break
                     // them (HealthMonitor found exactly that).
-                    if (cfg_.maxPacketAge != 0 &&
-                        now_ - head.injected >= cfg_.maxPacketAge) {
-                        metrics_.recordDropped(stage,
-                                               DropReason::Expired);
-                        IADM_TRACE_EVENT(
-                            trace, obs::EventKind::Drop, head.id,
-                            now_, stage, j, obs::TraceEvent::kNoLink,
-                            head.dst,
-                            static_cast<Label>(
-                                head.tag.destination()),
-                            static_cast<Label>(head.tag.stateBits()));
-                        dropAt(stage, j);
-                        --inFlight_;
-                        if (feedback_)
-                            traffic_->onRetire(head.src);
+                    if (aged(head)) {
+                        retire<Traced>(stage, j, head,
+                                       DropReason::Expired);
                         continue;
                     }
                     metrics_.recordStall(stage);
@@ -930,7 +859,7 @@ NetworkSim::advanceStageImpl(unsigned stage)
         }
 
         const auto link =
-            chooseLink<S, Traced>(stage, j, head, metrics_);
+            chooseLink<S, Traced>(stage, j, head);
         if constexpr (S == RoutingScheme::TsdtDynamic) {
             if (retried && !head.undeliverable)
                 metrics_.recordRecovery(
@@ -947,20 +876,10 @@ NetworkSim::advanceStageImpl(unsigned stage)
                     continue;
                 }
             }
-            if (cfg_.maxPacketAge != 0 &&
-                now_ - head.injected >= cfg_.maxPacketAge) {
+            if (aged(head)) {
                 // Stalled past the age cap with a route that may yet
                 // open: expired, not proven unroutable.
-                metrics_.recordDropped(stage, DropReason::Expired);
-                IADM_TRACE_EVENT(
-                    trace, obs::EventKind::Drop, head.id, now_,
-                    stage, j, obs::TraceEvent::kNoLink, head.dst,
-                    static_cast<Label>(head.tag.destination()),
-                    static_cast<Label>(head.tag.stateBits()));
-                dropAt(stage, j);
-                --inFlight_;
-                if (feedback_)
-                    traffic_->onRetire(head.src);
+                retire<Traced>(stage, j, head, DropReason::Expired);
                 continue;
             }
             metrics_.recordStall(stage);
@@ -984,19 +903,9 @@ NetworkSim::advanceStageImpl(unsigned stage)
                 // waiting on a queue whose backward-walking head
                 // waits on *this* queue is a two-cycle deadlock no
                 // recovery mechanism can reach.
-                if (cfg_.maxPacketAge != 0 &&
-                    now_ - head.injected >= cfg_.maxPacketAge) {
-                    metrics_.recordDropped(stage,
-                                           DropReason::Expired);
-                    IADM_TRACE_EVENT(
-                        trace, obs::EventKind::Drop, head.id, now_,
-                        stage, j, obs::TraceEvent::kNoLink, head.dst,
-                        static_cast<Label>(head.tag.destination()),
-                        static_cast<Label>(head.tag.stateBits()));
-                    dropAt(stage, j);
-                    --inFlight_;
-                    if (feedback_)
-                        traffic_->onRetire(head.src);
+                if (aged(head)) {
+                    retire<Traced>(stage, j, head,
+                                   DropReason::Expired);
                     continue;
                 }
                 metrics_.recordStall(stage);
@@ -1081,568 +990,6 @@ NetworkSim::advanceStage(unsigned stage)
 }
 
 void
-NetworkSim::injectSharded()
-{
-    const unsigned n = ltab_.stages();
-
-    // Draw phase: byte-identical to inject()'s — the RNG stream must
-    // not depend on the shard count.  (Closed-loop patterns never
-    // reach this path: feedback_ pins shards_ = 1 at construction,
-    // so onInject/onRetire hooks live only in the serial loop.)
-    if (gated_)
-        traffic_->beginCycle(now_);
-    pending_.clear();
-    for (Label s = 0; s < cfg_.netSize; ++s) {
-        const bool open = gated_ ? traffic_->gate(s, rng_) : true;
-        if (!rng_.chance(cfg_.injectionRate) || !open)
-            continue;
-        pending_.push_back({s, traffic_->pick(s, rng_)});
-    }
-    if (pending_.empty())
-        return;
-
-    // Serially pre-assign the ids the unbatched loop would hand out:
-    // attempt i (source order) consumed one id regardless of
-    // routability or queue space.
-    const std::size_t cnt = pending_.size();
-    const std::uint64_t base = nextPacketId_;
-    nextPacketId_ += cnt;
-
-    const bool sender = cfg_.scheme == RoutingScheme::TsdtSender;
-    // Same cache gate as inject() — see the comment there.
-    const bool use_cache =
-        rcacheEnabled_ &&
-        (sender ? !faults_.empty()
-                : rcache_.capacity() * sizeof(RouteCache::Entry) <=
-                      kDynamicCacheMaxBytes);
-    const std::uint64_t version = faults_.version();
-    const std::uint64_t evict0 =
-        use_cache ? rcache_.stats().evictions : 0;
-
-    // Probe phase (serial): claim cache slots in attempt order so
-    // the hit/miss/eviction sequence is exactly the serial one.
-    // Fills never influence probe outcomes (acquire() reads only the
-    // header fields it sets itself), so they defer to the parallel
-    // phase.  Hits are snapshotted — a later claim of this batch may
-    // evict the hit's slot before construction reads it.
-    islots_.assign(cnt, InjectSlot{});
-    // Claims of this batch still pointing into the table.  When a
-    // later claim evicts one, the earlier claim redirects to its
-    // pre-seeded local copy: serially it would have been filled and
-    // consumed before the eviction.
-    std::vector<std::pair<RouteCache::Entry *, std::size_t>> claims;
-    const auto stageClaim = [&](std::size_t i, RouteCache::Entry *e,
-                                bool hit) {
-        InjectSlot &sl = islots_[i];
-        if (hit) {
-            metrics_.recordRouteCacheHit();
-            sl.local = *e;
-            sl.entry = &sl.local;
-            sl.hitCheck = true;
-            return;
-        }
-        metrics_.recordRouteCacheMiss();
-        for (auto it = claims.rbegin(); it != claims.rend(); ++it) {
-            if (it->first == e && islots_[it->second].entry == e) {
-                islots_[it->second].entry =
-                    &islots_[it->second].local;
-                break;
-            }
-        }
-        sl.local = *e; // claim-time header, in case of redirection
-        sl.entry = e;
-        sl.needFill = true;
-        claims.push_back({e, i});
-    };
-    for (std::size_t i = 0; i < cnt; ++i) {
-        InjectSlot &sl = islots_[i];
-        const Label src = pending_[i].src;
-        const Label dst = pending_[i].dst;
-        if (sender) {
-            if (faults_.empty()) {
-                sl.kind = InjectSlot::Kind::SenderPlain;
-            } else if (use_cache) {
-                sl.kind = InjectSlot::Kind::SenderEntry;
-                const auto [e, hit] = rcache_.acquire(
-                    src, dst, version,
-                    RouteCache::Entry::kUniversal);
-                stageClaim(i, e, hit);
-            } else {
-                sl.kind = InjectSlot::Kind::SenderUncached;
-                sl.entry = &sl.local;
-                sl.needFill = true;
-            }
-        } else if (cfg_.scheme == RoutingScheme::TsdtDynamic &&
-                   use_cache) {
-            sl.kind = InjectSlot::Kind::DynamicEntry;
-            const auto [e, hit] = rcache_.acquire(src, dst, version, 0);
-            stageClaim(i, e, hit);
-        } else {
-            sl.kind = InjectSlot::Kind::PlainTag;
-        }
-    }
-    if (use_cache)
-        metrics_.recordRouteCacheEvictions(rcache_.stats().evictions -
-                                           evict0);
-
-    // Fill + construct phase (parallel): shard k owns a contiguous
-    // block of attempts.  Sources are distinct within a cycle, so
-    // every stage-0 queue (and every claimed cache entry) is written
-    // by exactly one shard; stage totals and inFlight_ fold in the
-    // serial epilogue.
-    shardDirty_ = true;
-    merging_ = true;
-    const std::size_t per = (cnt + shards_ - 1) / shards_;
-    const std::function<void(unsigned)> job = [&](unsigned k) {
-        ShardScratch &sc = shard_[k];
-        Metrics &sm = shardMetrics_[k];
-        sc.filled.clear();
-        const std::size_t lo = std::min(cnt, k * per);
-        const std::size_t hi = std::min(cnt, lo + per);
-        for (std::size_t i = lo; i < hi; ++i) {
-            InjectSlot &sl = islots_[i];
-            const Label src = pending_[i].src;
-            const Label dst = pending_[i].dst;
-            if (sl.needFill) {
-                switch (sl.kind) {
-                  case InjectSlot::Kind::SenderEntry:
-                    RouteCache::fillUniversal(*sl.entry, topo_,
-                                              faults_, src, dst);
-                    break;
-                  case InjectSlot::Kind::SenderUncached: {
-                    const auto rr = core::universalRoute(
-                        topo_, faults_, src, dst);
-                    // The local entry never entered the table, so
-                    // stamp the key tagFor() derives the
-                    // destination bits from.
-                    sl.local.key =
-                        RouteCache::Entry::packKey(src, dst);
-                    sl.local.delta = static_cast<std::uint16_t>(
-                        rr.tag.stateBits());
-                    const unsigned rcount =
-                        rr.corollary41 +
-                        rr.backtrackStats.bitsChanged;
-                    IADM_ASSERT(rcount <= 0xffffu,
-                                "reroute count ", rcount,
-                                " overflows the compressed entry");
-                    sl.local.reroutes =
-                        static_cast<std::uint16_t>(rcount);
-                    if (rr.ok)
-                        sl.local.flags |= RouteCache::Entry::kOk;
-                    break;
-                  }
-                  case InjectSlot::Kind::DynamicEntry: {
-                    // The initial tag's all-state-C path: delta 0.
-                    RouteCache::Entry &e = *sl.entry;
-                    e.delta = 0;
-                    e.reroutes = 0;
-                    e.flags |= RouteCache::Entry::kOk;
-                    break;
-                  }
-                  default:
-                    break;
-                }
-            }
-#ifdef IADM_SANITIZE_BUILD
-            if (sl.hitCheck) {
-                if (sl.kind == InjectSlot::Kind::SenderEntry) {
-                    RouteCache::checkUniversalHit(sl.local, topo_,
-                                                  faults_, src, dst);
-                } else {
-                    const core::TsdtTag fresh =
-                        core::initialTag(n, dst);
-                    IADM_ASSERT(fresh == sl.local.tagFor(n),
-                                "route cache hit diverged (tag) "
-                                "for ",
-                                src, "->", dst);
-                    std::uint16_t chk[RouteCache::kMaxPathSw];
-                    core::decodeDelta(src, dst, sl.local.delta, n,
-                                      chk);
-                    Label jv = src;
-                    for (unsigned st = 0; st <= n; ++st) {
-                        IADM_ASSERT(chk[st] == jv,
-                                    "route cache hit diverged "
-                                    "(path) for ",
-                                    src, "->", dst, " at stage ",
-                                    st);
-                        if (st < n)
-                            jv = ltab_.to(
-                                st, jv,
-                                fastTsdtKind(jv, st, fresh));
-                    }
-                }
-            }
-#endif
-            core::TsdtTag tag;
-            bool has_tag = false;
-            unsigned reroutes = 0;
-            const RouteCache::Entry *path_entry = nullptr;
-            switch (sl.kind) {
-              case InjectSlot::Kind::PlainTag:
-                tag = core::initialTag(n, dst);
-                break;
-              case InjectSlot::Kind::SenderPlain:
-                tag = core::initialTag(n, dst);
-                has_tag = true;
-                break;
-              case InjectSlot::Kind::SenderEntry:
-              case InjectSlot::Kind::SenderUncached:
-                if (!sl.entry->ok()) {
-                    sm.recordUnroutable();
-                    continue;
-                }
-                tag = sl.entry->tagFor(n);
-                has_tag = true;
-                reroutes = sl.entry->reroutes;
-                break;
-              case InjectSlot::Kind::DynamicEntry:
-                tag = sl.entry->tagFor(n);
-                path_entry = sl.entry;
-                break;
-            }
-            const std::size_t q = queues_.qid(0, src);
-            if (queues_.full(q)) {
-                sm.recordThrottled();
-                continue;
-            }
-            Packet &slot = queues_.emplaceBack(q);
-            slot.id = base + i;
-            slot.injected = now_;
-            slot.movedAt = ~Cycle{0};
-            slot.tag = tag;
-            slot.src = src;
-            slot.dst = dst;
-            slot.reroutes = reroutes;
-            slot.resumeStage = 0;
-            slot.lastEpoch = static_cast<std::uint16_t>(version);
-            slot.hasTag = has_tag;
-            slot.goingBack = false;
-            slot.undeliverable = false;
-            if (path_entry != nullptr) {
-                core::decodeDelta(src, dst, path_entry->delta, n,
-                                  slot.pathSw);
-                slot.pathValid = true;
-            } else {
-                slot.pathValid = false;
-                if (cfg_.scheme == RoutingScheme::TsdtDynamic)
-                    cachePath(slot);
-            }
-            sc.filled.push_back(src);
-            sm.recordInjected();
-        }
-    };
-    pool_->run(job);
-    merging_ = false;
-
-    // Serial epilogue: fold the shared counters in fixed shard order.
-    for (unsigned k = 0; k < shards_; ++k) {
-        for (const Label src : shard_[k].filled) {
-            ++stageSize_[0];
-            reconcileRow(0, src);
-            ++inFlight_;
-        }
-    }
-}
-
-template <RoutingScheme S>
-void
-NetworkSim::shardServiceRows(unsigned stage, unsigned k, Label offset,
-                             bool deliver)
-{
-    static_assert(S != RoutingScheme::SsdtBalanced,
-                  "the balanced scheme's mid-scan queue-depth reads "
-                  "are order-dependent by definition; it never "
-                  "shards");
-    ShardScratch &sc = shard_[k];
-    Metrics &sm = shardMetrics_[k];
-    sc.props.clear();
-    sc.pops.clear();
-    sc.grants.clear();
-
-    const Label lo =
-        std::min<Label>(cfg_.netSize,
-                        static_cast<Label>(k) * rowsPerShard_);
-    const Label hi = std::min<Label>(cfg_.netSize, lo + rowsPerShard_);
-    if (lo >= hi)
-        return;
-    const std::uint64_t *words =
-        &occWords_[static_cast<std::size_t>(stage) *
-                   occWordsPerStage_];
-
-    // Ascending-row iteration over the shard's set bits.  Row order
-    // within this phase is immaterial: every decision reads only
-    // state that is stable for the whole phase or exclusive to the
-    // row, so only the recorded serial rank matters — the rotated
-    // service order is reimposed by the rank-sorted grant scan.
-    unsigned wi = lo >> 6;
-    const unsigned w_last = (hi - 1) >> 6;
-    std::uint64_t word = words[wi] & (~std::uint64_t{0} << (lo & 63));
-    for (;;) {
-        if (wi == w_last && (hi & 63) != 0)
-            word &= (std::uint64_t{1} << (hi & 63)) - 1;
-        while (word != 0) {
-            const auto b =
-                static_cast<unsigned>(std::countr_zero(word));
-            word &= word - 1;
-            const Label j = static_cast<Label>((wi << 6) | b);
-
-            const std::size_t q = queues_.qid(stage, j);
-            Packet &head = queues_.front(q);
-            if (head.movedAt == now_)
-                continue; // one hop per packet per cycle
-            const auto rank = static_cast<Label>((j - offset) & mask_);
-
-            // See advanceStageImpl for the disposition rationale;
-            // drops pop here (head_ is row-exclusive) and defer the
-            // shared counters to the phase C record drain.
-            const auto parkOrDrop = [&](const Packet &h) {
-                const bool dynamic_env =
-                    events_.pending() != 0 || !churn_.empty();
-                const bool aged =
-                    cfg_.maxPacketAge != 0 &&
-                    now_ - h.injected >= cfg_.maxPacketAge;
-                if (dynamic_env && !aged) {
-                    sm.recordStall(stage);
-                    return;
-                }
-                sm.recordDropped(stage, DropReason::Unroutable);
-                queues_.dropFront(q);
-                sc.pops.push_back(j);
-            };
-
-            [[maybe_unused]] bool retried = false;
-            if constexpr (S == RoutingScheme::TsdtDynamic) {
-                if (head.undeliverable) {
-                    const auto ep = static_cast<std::uint16_t>(
-                        faults_.version());
-                    if (head.lastEpoch == ep) {
-                        parkOrDrop(head);
-                        continue;
-                    }
-                    head.undeliverable = false;
-                    retried = true;
-                }
-            }
-
-            if (head.goingBack) {
-                if (stage > head.resumeStage) {
-                    // The backward walk contends for a stage-1 slot
-                    // exactly like a forward move contends for a
-                    // stage+1 slot: propose, and let the rank-ordered
-                    // grant scan apply the full check.
-                    sc.props.push_back(
-                        {rank, j, pathSwitchAt(head, stage - 1),
-                         topo::LinkKind::Straight, true});
-                    continue;
-                }
-                head.goingBack = false;
-            }
-
-            const auto link =
-                chooseLink<S, false>(stage, j, head, sm);
-            if constexpr (S == RoutingScheme::TsdtDynamic) {
-                if (retried && !head.undeliverable)
-                    sm.recordRecovery(
-                        now_ - (head.movedAt == ~Cycle{0}
-                                    ? head.injected
-                                    : head.movedAt));
-            }
-            if (!link) {
-                if constexpr (S == RoutingScheme::TsdtDynamic) {
-                    if (head.undeliverable) {
-                        parkOrDrop(head);
-                        continue;
-                    }
-                }
-                if (cfg_.maxPacketAge != 0 &&
-                    now_ - head.injected >= cfg_.maxPacketAge) {
-                    sm.recordDropped(stage, DropReason::Expired);
-                    queues_.dropFront(q);
-                    sc.pops.push_back(j);
-                    continue;
-                }
-                sm.recordStall(stage);
-                continue;
-            }
-            if (!deliver) {
-                sc.props.push_back(
-                    {rank, j, link->to, link->kind, false});
-            } else {
-                sm.recordHop(*link);
-                IADM_ASSERT(link->to == head.dst,
-                            "delivery at wrong output: ", link->to,
-                            " != ", head.dst);
-                sm.recordDelivered(head, now_ + 1);
-                if (fview_.anyBlocked())
-                    sm.recordFaultedDelivery();
-                queues_.dropFront(q);
-                sc.pops.push_back(j);
-            }
-        }
-        if (wi == w_last)
-            break;
-        word = words[++wi];
-    }
-}
-
-void
-NetworkSim::shardCommitMoves(unsigned stage, unsigned k,
-                             unsigned accept_limit)
-{
-    ShardScratch &sc = shard_[k];
-    Metrics &sm = shardMetrics_[k];
-
-    // Collect every proposal whose destination row this shard owns.
-    // Reading the other shards' proposal vectors is safe: phase A
-    // completed before this phase was dispatched (ShardPool::run is
-    // a barrier), and phase B never appends to props.
-    std::vector<const MoveProposal *> cands;
-    for (unsigned a = 0; a < shards_; ++a) {
-        for (const MoveProposal &p : shard_[a].props) {
-            if (shardOf(p.toJ) == k)
-                cands.push_back(&p);
-        }
-    }
-    if (cands.empty())
-        return;
-    // (destination queue, serial rank) order.  Backward and forward
-    // proposals on the same toJ target different stages, so the
-    // backward bit is part of the queue key; ranks are unique per
-    // source switch, so the sort is a deterministic total order.
-    std::sort(cands.begin(), cands.end(),
-              [](const MoveProposal *a, const MoveProposal *b) {
-                  if (a->toJ != b->toJ)
-                      return a->toJ < b->toJ;
-                  if (a->backward != b->backward)
-                      return !a->backward && b->backward;
-                  return a->rank < b->rank;
-              });
-
-    const std::size_t cap = queues_.capacity();
-    std::size_t i = 0;
-    while (i < cands.size()) {
-        std::size_t e = i + 1;
-        while (e < cands.size() && cands[e]->toJ == cands[i]->toJ &&
-               cands[e]->backward == cands[i]->backward)
-            ++e;
-        const bool backward = cands[i]->backward;
-        const unsigned to_stage = backward ? stage - 1 : stage + 1;
-        const Label to_j = cands[i]->toJ;
-        const std::size_t dq = queues_.qid(to_stage, to_j);
-        // During the serial scan a destination queue's size changes
-        // only through that scan's own grants — refills of this
-        // stage happen in other cycles and deliveries pop from the
-        // last stage only.  So size-at-rank-r equals the phase-B
-        // entry size plus this group's earlier grants, and the
-        // serial accept counter (forward moves only, reset per
-        // stage) is this group's forward grant count.
-        std::size_t size = queues_.size(dq);
-        unsigned granted = 0;
-        for (; i < e; ++i) {
-            const MoveProposal &p = *cands[i];
-            if (size >= cap ||
-                (!backward && granted >= accept_limit)) {
-                // Denied-grant heads age out like link-blocked ones
-                // (see advanceStageImpl); touching the source queue
-                // here is safe for the same reason moveFront below
-                // is — a head proposes to exactly one destination,
-                // so no other shard reaches this fq in phase B.
-                const std::size_t fq0 = queues_.qid(stage, p.fromJ);
-                if (cfg_.maxPacketAge != 0 &&
-                    now_ - queues_.front(fq0).injected >=
-                        cfg_.maxPacketAge) {
-                    sm.recordDropped(stage, DropReason::Expired);
-                    queues_.dropFront(fq0);
-                    sc.pops.push_back(p.fromJ);
-                    continue;
-                }
-                sm.recordStall(stage);
-                continue;
-            }
-            const std::size_t fq = queues_.qid(stage, p.fromJ);
-            Packet &head = queues_.front(fq);
-            head.movedAt = now_;
-            if (backward) {
-                if (to_stage == head.resumeStage)
-                    head.goingBack = false;
-                sm.recordBacktrackHop();
-            } else {
-                sm.recordHop(ltab_.link(stage, p.fromJ, p.kind));
-                ++granted;
-            }
-            queues_.moveFront(fq, dq);
-            ++size;
-            sc.grants.push_back({p.fromJ, to_stage, to_j});
-        }
-    }
-}
-
-template <RoutingScheme S>
-void
-NetworkSim::advanceStageSharded(unsigned stage)
-{
-    const bool deliver = stage + 1 == ltab_.stages();
-    const unsigned accept_limit = cfg_.crossbarSwitches ? 3 : 1;
-
-    metrics_.sampleStageDepths(stage, stageSize_[stage],
-                               cfg_.netSize);
-    if (stageOccupied_[stage] == 0)
-        return;
-
-    const auto offset = static_cast<Label>(now_ & mask_);
-    // The dirty mark must precede the worker phases: flipping it
-    // from a worker would race the (mutable, lazily folded) flag.
-    shardDirty_ = true;
-    merging_ = true;
-    // Phase A: service own rows; cross-row moves become rank-stamped
-    // proposals, pops (drops/deliveries) leave shared counters to C.
-    const std::function<void(unsigned)> phase_a = [&](unsigned k) {
-        shardServiceRows<S>(stage, k, offset, deliver);
-    };
-    pool_->run(phase_a);
-    // Phase B: each shard grants the proposals targeting its own
-    // rows, replaying the serial rotated order per destination.
-    const std::function<void(unsigned)> phase_b = [&](unsigned k) {
-        shardCommitMoves(stage, k, accept_limit);
-    };
-    pool_->run(phase_b);
-    merging_ = false;
-    // Phase C: drain bookkeeping records in fixed shard order.
-    for (unsigned k = 0; k < shards_; ++k) {
-        ShardScratch &sc = shard_[k];
-        for (const Label j : sc.pops) {
-            --stageSize_[stage];
-            --inFlight_;
-            reconcileRow(stage, j);
-        }
-        for (const MoveGrant &g : sc.grants) {
-            --stageSize_[stage];
-            ++stageSize_[g.toStage];
-            reconcileRow(stage, g.fromJ);
-            reconcileRow(g.toStage, g.toJ);
-        }
-    }
-}
-
-void
-NetworkSim::advanceStageShardedDispatch(unsigned stage)
-{
-    switch (cfg_.scheme) {
-      case RoutingScheme::SsdtStatic:
-        return advanceStageSharded<RoutingScheme::SsdtStatic>(stage);
-      case RoutingScheme::TsdtSender:
-        return advanceStageSharded<RoutingScheme::TsdtSender>(stage);
-      case RoutingScheme::DistanceTag:
-        return advanceStageSharded<RoutingScheme::DistanceTag>(stage);
-      case RoutingScheme::TsdtDynamic:
-        return advanceStageSharded<RoutingScheme::TsdtDynamic>(stage);
-      case RoutingScheme::SsdtBalanced:
-        break; // pinned serial at construction; pool_ never exists
-    }
-    IADM_PANIC("unreachable sharded scheme");
-}
-
-void
 NetworkSim::setHealthMonitor(obs::HealthMonitor *m)
 {
     health_ = m;
@@ -1651,7 +998,7 @@ NetworkSim::setHealthMonitor(obs::HealthMonitor *m)
     const auto &hc = m->config();
     healthNextScan_ = now_ + hc.checkInterval;
     healthWinStart_ = now_;
-    const Metrics &mt = metrics();
+    const Metrics &mt = metrics_;
     healthWinDelivered_ = mt.delivered();
     healthWinLatSum_ = mt.latencySum();
 }
@@ -1752,7 +1099,7 @@ NetworkSim::healthTick()
     const Cycle done = now_ + 1; // cycles completed incl. this one
     if (hc.windowCycles != 0 &&
         done - healthWinStart_ >= hc.windowCycles) {
-        const Metrics &mt = metrics(); // folds shard deltas
+        const Metrics &mt = metrics_;
         const std::uint64_t d = mt.delivered();
         const std::uint64_t ls = mt.latencySum();
         const std::uint64_t dd = d - healthWinDelivered_;
@@ -1770,7 +1117,7 @@ NetworkSim::healthTick()
     }
     if (done >= healthNextScan_) {
         healthScan();
-        hm.noteDelivered(done, metrics().delivered());
+        hm.noteDelivered(done, metrics_.delivered());
         healthNextScan_ = done + hc.checkInterval;
     }
 }
@@ -1780,26 +1127,15 @@ NetworkSim::step()
 {
     if (now_ >= churnNext_)
         runChurn();
-    events_.commitShardSchedules();
     events_.runUntil(now_);
     if (faults_.version() != faultsVersion_)
         refreshFaultView();
-    if (shardedActive()) {
-        injectSharded();
-        for (unsigned stage = ltab_.stages(); stage-- > 0;) {
-            ++epoch_;
-            advanceStageShardedDispatch(stage);
-        }
-    } else {
-        inject();
-        for (unsigned stage = ltab_.stages(); stage-- > 0;) {
-            ++epoch_; // resets every acceptance count to zero, O(1)
-            advanceStage(stage);
-        }
+    inject();
+    for (unsigned stage = ltab_.stages(); stage-- > 0;) {
+        ++epoch_; // resets every acceptance count to zero, O(1)
+        advanceStage(stage);
     }
     if constexpr (obs::healthCompiledIn()) {
-        // Post-join: every shard phase of this cycle has completed,
-        // so the scan reads settled queue state serially.
         if (__builtin_expect(health_ != nullptr, 0))
             healthTick();
     }

@@ -38,7 +38,6 @@
 #include "sim/link_table.hpp"
 #include "sim/metrics.hpp"
 #include "sim/route_cache.hpp"
-#include "sim/shard_pool.hpp"
 #include "sim/switch_model.hpp"
 #include "sim/traffic.hpp"
 #include "topology/iadm.hpp"
@@ -93,22 +92,6 @@ struct SimConfig
      * "wait for the next repair" may never terminate.
      */
     Cycle maxPacketAge = 0;
-
-    /**
-     * Worker shards inside one simulation: switch rows of each
-     * stage are partitioned into this many contiguous shards and
-     * serviced in parallel (docs/SIMULATOR.md, "Determinism").
-     * Deterministic by construction — metrics, queues and report
-     * bytes are identical at any shard count.  1 (the default)
-     * keeps the serial step, with no pool, no scratch buffers and
-     * no synchronization.  Clamped to netSize.  SsdtBalanced
-     * always runs serially (its emptier-queue choice reads
-     * next-stage depths mid-scan, which is order-dependent by
-     * definition), as does any simulator with a trace sink
-     * attached (a TraceSink is single-owner and event order must
-     * stay deterministic).
-     */
-    unsigned shards = 1;
 };
 
 /** The simulator. */
@@ -127,19 +110,8 @@ class NetworkSim
 
     Cycle now() const { return now_; }
     const SimConfig &config() const { return cfg_; }
-    const Metrics &metrics() const
-    {
-        foldShardMetrics();
-        return metrics_;
-    }
-    Metrics &metrics()
-    {
-        foldShardMetrics();
-        return metrics_;
-    }
-
-    /** Effective shard count (cfg.shards clamped; 1 = serial). */
-    unsigned shards() const { return shards_; }
+    const Metrics &metrics() const { return metrics_; }
+    Metrics &metrics() { return metrics_; }
     const topo::IadmTopology &topology() const { return topo_; }
     const fault::FaultSet &faults() const { return faults_; }
 
@@ -221,9 +193,7 @@ class NetworkSim
      * monitor costs one predicted-false branch per cycle.  When
      * attached, step() feeds it wait-for scans every
      * HealthConfig::checkInterval cycles and a steady-state rollup
-     * window every HealthConfig::windowCycles.  Unlike the trace
-     * sink the monitor does not force a sharded sim serial: it runs
-     * after the cycle's shard phases have joined.
+     * window every HealthConfig::windowCycles.
      */
     void setHealthMonitor(obs::HealthMonitor *m);
     obs::HealthMonitor *healthMonitor() const { return health_; }
@@ -236,13 +206,7 @@ class NetworkSim
     Rng rng_;
     Cycle now_ = 0;
     std::uint64_t nextPacketId_ = 0;
-    /**
-     * Serial accumulation stream.  With shards > 1 some counters
-     * accumulate in shardMetrics_ instead and are folded in on
-     * access (foldShardMetrics) — hence mutable: folding happens
-     * behind the const metrics() accessor.
-     */
-    mutable Metrics metrics_;
+    Metrics metrics_;
     EventQueue events_;
     core::NetworkState ssdtState_;
     obs::TraceSink *trace_ = nullptr; //!< null = tracing disabled
@@ -288,9 +252,7 @@ class NetworkSim
     Label mask_ = 0;     //!< netSize - 1 (N is a power of two)
     bool gated_ = true;  //!< traffic_->gated(), cached at build
     /** traffic_->closedLoop(), cached at build.  When set, the
-     *  pattern gets onInject/onRetire feedback and the simulator is
-     *  pinned serial (shards = 1) so retirement callbacks fire from
-     *  single-threaded code only (see traffic.hpp). */
+     *  pattern gets onInject/onRetire feedback (see traffic.hpp). */
     bool feedback_ = false;
 
     // --- batched injection through the route cache ----------------
@@ -304,76 +266,6 @@ class NetworkSim
     };
     std::vector<PendingInjection> pending_; //!< scratch, size N
 
-    // --- intra-simulation sharding (docs/SIMULATOR.md) ------------
-    //
-    // With shards_ > 1 each stage's service scan runs as three
-    // phases: (A) every shard services its own contiguous row range
-    // in parallel — packet-local and own-row work commits in place,
-    // cross-row moves become rank-stamped proposals; (B) shards
-    // grant the proposals targeting their own destination rows, in
-    // serial rank order, reproducing the serial contention outcome
-    // exactly; (C) the owner drains per-shard bookkeeping records
-    // in fixed shard order.  The serial path (shards_ == 1) never
-    // touches any of this.
-    unsigned shards_ = 1;   //!< effective count (cfg clamped)
-    Label rowsPerShard_ = 0;
-    std::unique_ptr<ShardPool> pool_; //!< null when serial
-    /** True while worker phases run: bookkeeping counters lag the
-     *  queue state until the merge completes, so the IADM_SANITIZE
-     *  inFlight cross-check must not fire mid-merge. */
-    bool merging_ = false;
-
-    /** A cross-row packet move proposed in phase A. */
-    struct MoveProposal
-    {
-        Label rank; //!< serial service rank of the source switch
-        Label fromJ;
-        Label toJ;
-        topo::LinkKind kind; //!< forward proposals only
-        bool backward;
-    };
-    /** A move committed in phase B (bookkeeping record). */
-    struct MoveGrant
-    {
-        Label fromJ;
-        unsigned toStage;
-        Label toJ;
-    };
-    /** Per-shard scratch; reused every phase, cleared in place. */
-    struct ShardScratch
-    {
-        std::vector<MoveProposal> props; //!< phase A output
-        std::vector<Label> pops;   //!< rows popped in phase A
-        std::vector<MoveGrant> grants; //!< phase B output
-        std::vector<Label> filled; //!< rows injected into (inject)
-    };
-    std::vector<ShardScratch> shard_;
-    /** Per-shard Metrics deltas.  Folding into metrics_ is lazy
-     *  (hopsByLink_ alone is ~1.2 MB at N=4096 — a per-cycle fold
-     *  would dwarf the serviced work); mutable for the same reason
-     *  metrics_ is. */
-    mutable std::vector<Metrics> shardMetrics_;
-    mutable bool shardDirty_ = false;
-
-    /** Per-attempt staging for the sharded two-phase inject. */
-    struct InjectSlot
-    {
-        enum class Kind : std::uint8_t
-        {
-            PlainTag,       //!< initial tag, hasTag = false
-            SenderPlain,    //!< initial tag, hasTag = true
-            SenderEntry,    //!< sender outcome via cache entry
-            SenderUncached, //!< universalRoute into local
-            DynamicEntry,   //!< dynamic path trace via cache entry
-        };
-        RouteCache::Entry local; //!< hit snapshot / redirected fill
-        RouteCache::Entry *entry = nullptr; //!< construct reads here
-        Kind kind = Kind::PlainTag;
-        bool needFill = false; //!< run the fill phase for this slot
-        bool hitCheck = false; //!< sanitize cross-check in fill
-    };
-    std::vector<InjectSlot> islots_; //!< scratch, size = attempts
-
     /** True iff @p s resolves routing tags at injection time. */
     static bool
     schemeResolvesTags(RoutingScheme s)
@@ -386,46 +278,6 @@ class NetworkSim
 
     /** Dispatch to the scheme-specialized service loop. */
     void advanceStage(unsigned stage);
-
-    /** True when this step must take the sharded path. */
-    bool
-    shardedActive() const
-    {
-        return pool_ != nullptr &&
-               !(obs::traceCompiledIn() && trace_ != nullptr);
-    }
-
-    /** Shard owning switch row @p j (contiguous partition). */
-    unsigned
-    shardOf(Label j) const
-    {
-        return static_cast<unsigned>(j / rowsPerShard_);
-    }
-
-    /** Merge per-shard Metrics deltas into metrics_ (lazy). */
-    void foldShardMetrics() const;
-
-    /** Re-sync a row's occupancy bit / counters with its queue. */
-    void reconcileRow(unsigned stage, Label j);
-
-    /** Sharded inject: serial draws/probes, parallel fill+build. */
-    void injectSharded();
-
-    /** Dispatch to the scheme-specialized sharded service loop. */
-    void advanceStageShardedDispatch(unsigned stage);
-
-    /** Sharded service of one stage (phases A/B/C). */
-    template <RoutingScheme S>
-    void advanceStageSharded(unsigned stage);
-
-    /** Phase A: shard @p k services rows it owns at @p stage. */
-    template <RoutingScheme S>
-    void shardServiceRows(unsigned stage, unsigned k, Label offset,
-                          bool deliver);
-
-    /** Phase B: shard @p k grants proposals into rows it owns. */
-    void shardCommitMoves(unsigned stage, unsigned k,
-                          unsigned accept_limit);
 
     /**
      * Service every occupied queue of one stage.  Templated on the
@@ -441,20 +293,34 @@ class NetworkSim
 
     /**
      * Choose the output link for the head packet of (stage, j) under
-     * scheme @p S; returns nullopt to stall this cycle.  Counter
-     * updates go to @p m — metrics_ on the serial path, the
-     * caller's shard delta on the sharded one — so both paths run
-     * the identical routing logic.
+     * scheme @p S; returns nullopt to stall this cycle.
      */
     template <RoutingScheme S, bool Traced>
     std::optional<topo::Link> chooseLink(unsigned stage, Label j,
-                                         Packet &p, Metrics &m);
+                                         Packet &p);
+
+    /** True once @p h has outlived cfg_.maxPacketAge (0 = no cap). */
+    bool
+    aged(const Packet &h) const
+    {
+        return cfg_.maxPacketAge != 0 &&
+               now_ - h.injected >= cfg_.maxPacketAge;
+    }
+
+    /**
+     * Drop the head packet @p head of (stage, j) for @p reason: the
+     * drop counter, the Drop trace event (flagged kFlagUnroutable
+     * for Unroutable), the queue pop, inFlight and the closed-loop
+     * onRetire callback — every service-loop drop goes through here.
+     */
+    template <bool Traced>
+    void retire(unsigned stage, Label j, const Packet &head,
+                DropReason reason);
 
     /**
      * Cold body of the per-cycle health hook: cadences rollup
      * windows and wait-for scans.  Runs after the cycle's service
-     * phases complete (post-join on the sharded path), so it reads
-     * settled queue state.
+     * phases complete, so it reads settled queue state.
      */
     __attribute__((noinline, cold)) void healthTick();
 

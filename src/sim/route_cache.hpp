@@ -188,43 +188,6 @@ class RouteCache
                      const fault::FaultSet &faults, Label src,
                      Label dst);
 
-    // --- split probe/fill for sharded batch resolution ------------
-    //
-    // A sharded injector cannot interleave probes and fills the way
-    // resolveUniversal() does: probes mutate the table (claims,
-    // evictions) and must stay serial to keep the exact serial
-    // hit/miss/eviction sequence, while fills are the expensive part
-    // and are safe to parallelize — each claimed entry is written by
-    // exactly one attempt, and probe decisions read only the header
-    // fields (key/version/flags mode bit) that acquire() itself
-    // sets, never the payload a fill writes.  The insertion
-    // discipline is therefore: claim every slot of the batch through
-    // acquire() under the serial epoch guard, snapshot hits (a later
-    // claim of the batch may evict a hit's slot), redirect
-    // claims whose slot a later claim of the same batch evicted,
-    // then fill the claimed entries concurrently.
-
-    /**
-     * Fill a freshly acquire()d universal-mode entry from REROUTE
-     * (universalRouteCompact).  A pure function of
-     * (topo, faults, src, dst) writing only @p e's payload — safe to
-     * run concurrently for distinct entries.
-     */
-    static void fillUniversal(Entry &e,
-                              const topo::IadmTopology &topo,
-                              const fault::FaultSet &faults,
-                              Label src, Label dst);
-
-    /**
-     * IADM_SANITIZE cross-check of a universal-mode hit (or a
-     * snapshot of one) against a fresh universalRoute() call.
-     * No-op in regular builds.  Read-only — safe concurrently.
-     */
-    static void checkUniversalHit(const Entry &e,
-                                  const topo::IadmTopology &topo,
-                                  const fault::FaultSet &faults,
-                                  Label src, Label dst);
-
     /** Hint the first probe slot of (src, dst) into cache. */
     void
     prefetch(Label src, Label dst) const
@@ -257,6 +220,24 @@ class RouteCache
      * never belong to different full versions.
      */
     std::uint32_t versionHigh_ = 0;
+
+    /**
+     * Fill a freshly acquire()d universal-mode entry from REROUTE
+     * (universalRouteCompact): writes only @p e's payload.
+     */
+    static void fillUniversal(Entry &e,
+                              const topo::IadmTopology &topo,
+                              const fault::FaultSet &faults,
+                              Label src, Label dst);
+
+    /**
+     * IADM_SANITIZE cross-check of a universal-mode hit against a
+     * fresh universalRoute() call.  No-op in regular builds.
+     */
+    static void checkUniversalHit(const Entry &e,
+                                  const topo::IadmTopology &topo,
+                                  const fault::FaultSet &faults,
+                                  Label src, Label dst);
 
     static std::uint32_t
     keyOf(Label src, Label dst)

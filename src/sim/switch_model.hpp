@@ -17,16 +17,9 @@
  * cache-resident.  SwitchQueue is the standalone single-queue
  * equivalent for callers that need just one FIFO.
  *
- * Concurrency contract (intra-simulation sharding,
- * docs/SIMULATOR.md): QueueArena is not thread-safe as a whole, but
- * every element it stores — a head_/tail_ cursor pair and the slab
- * slots of one queue — belongs to exactly one queue, so concurrent
- * access is safe as long as no two threads touch the *same* queue.
- * The sharded step relies on this: phase A pops only from rows the
- * shard owns, phase B pushes only into destination queues routed to
- * the owning shard, and a barrier separates the phases.  There are
- * no arena-global mutable members to race on (slots_/mask_ are set
- * at construction).
+ * Neither type is thread-safe: each simulator owns its arena and
+ * steps it from one thread (parallelism lives a level up, in the
+ * sweep runner's per-cell workers).
  */
 
 #ifndef IADM_SIM_SWITCH_MODEL_HPP

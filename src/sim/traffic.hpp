@@ -2,18 +2,10 @@
  * @file
  * Traffic patterns for the packet-switched simulation.
  *
- * Concurrency contract: the simulator invokes every mutating hook —
- * gate(), pick(), beginCycle(), onInject(), onRetire() — from serial
- * code only.  gate/pick/beginCycle run in the injection draw phase,
- * which is serial even on a sharded simulator (the RNG stream must
- * not depend on the shard count); onInject fires from the serial
- * injection epilogue; and onRetire fires from the service loop,
- * which is why a closed-loop pattern (closedLoop() == true) pins its
- * simulator to shards = 1, exactly like SsdtBalanced.  Patterns may
- * therefore keep plain per-source state, but that state must be
- * per-source *bytes or wider* — never std::vector<bool>, whose
- * packed words would make any future concurrent use a data race by
- * construction.
+ * Each pattern belongs to one simulator, which steps serially:
+ * gate/pick/beginCycle run in the injection draw phase, onInject
+ * fires as a packet is enqueued and onRetire from the service loop.
+ * Patterns may therefore keep plain per-source state.
  */
 
 #ifndef IADM_SIM_TRAFFIC_HPP
@@ -43,8 +35,8 @@ class TrafficPattern
      * cycle before the rate draw; patterns with temporal structure
      * (bursts, ramps, closed-loop windows) override it.  Default:
      * always open.  Implementations must draw the same number of
-     * random values per call regardless of the outcome, so serial
-     * and sharded runs stay stream-identical.
+     * random values per call regardless of the outcome, so the
+     * RNG stream does not depend on gate outcomes.
      */
     virtual bool
     gate(Label, Rng &)
@@ -76,8 +68,7 @@ class TrafficPattern
     /**
      * True when the pattern needs injection/retirement feedback
      * (closed-loop load).  The simulator then calls onInject /
-     * onRetire and runs serially (shards pinned to 1) so the
-     * retirement callbacks fire from single-threaded code.
+     * onRetire.
      */
     virtual bool
     closedLoop() const
@@ -143,7 +134,7 @@ class HotspotTraffic : public TrafficPattern
  * two-state (on/off) Markov chain with expected burst and idle
  * lengths; the chain advances in gate(), called once per source
  * per cycle.  gate() draws exactly one random value per call
- * whatever the state, so the stream is shard-count independent.
+ * whatever the state, so the stream is independent of the chain.
  */
 class BurstyTraffic : public TrafficPattern
 {

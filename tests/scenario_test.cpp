@@ -4,8 +4,8 @@
  * and rejection regressions for the composable traffic subsystem,
  * statistical checks of every destination source and shaper, the
  * closed-loop feedback contract, and sweep determinism for the new
- * scenario axis — byte-identical reports across worker counts and
- * shard counts, pinned by a dedicated golden fixture
+ * scenario axis — byte-identical reports across worker counts,
+ * pinned by a dedicated golden fixture
  * (tests/data/golden_sweep_scenarios_n64.json).
  *
  * Regenerating the fixture (only after an *intentional* behaviour
@@ -388,19 +388,15 @@ TEST(ScenarioClosedLoop, WindowGatesAfterOutstandingLimit)
     EXPECT_TRUE(pattern->gate(0, rng));
 }
 
-TEST(ScenarioClosedLoop, SimulatorPinsShardsSerialForFeedback)
+TEST(ScenarioClosedLoop, SimulatorWindowCapsLivePackets)
 {
     SimConfig cfg;
     cfg.netSize = 64;
     cfg.scheme = RoutingScheme::TsdtSender;
     cfg.injectionRate = 0.9;
-    cfg.shards = 8;
     cfg.seed = 3;
     NetworkSim s(
         cfg, TrafficSpec::parse("shape:closed:2").value().make(64));
-    EXPECT_EQ(s.shards(), 1u)
-        << "closed-loop traffic must run serial (onRetire fires "
-           "from the service loop)";
     s.run(400);
     // The window cap binds: with at most 2 outstanding per source,
     // the live packet count can never exceed 2N.
@@ -433,9 +429,8 @@ TEST(ScenarioClosedLoop, OutstandingWindowBoundsInFlightEveryCycle)
 
 /**
  * The frozen scenario grid (fixture
- * tests/data/golden_sweep_scenarios_n64.json).  Replicated verbatim
- * in tests/shard_test.cpp, which pins the same fixture at 2/4/8
- * shards; any edit here invalidates that copy and the fixture.
+ * tests/data/golden_sweep_scenarios_n64.json); any edit here
+ * invalidates the fixture.
  */
 SweepGrid
 scenarioGrid()
@@ -466,12 +461,11 @@ scenarioGrid()
 }
 
 std::string
-runScenarioGrid(unsigned workers, unsigned sim_shards)
+runScenarioGrid(unsigned workers)
 {
     const SweepGrid grid = scenarioGrid();
     SweepOptions opts;
     opts.workers = workers;
-    opts.simShards = sim_shards;
     return sweepReportJson(grid, runSweep(grid, opts));
 }
 
@@ -480,7 +474,7 @@ const char *const kScenarioFixturePath =
 
 TEST(ScenarioSweep, MatchesGoldenFixtureByteForByte)
 {
-    const std::string report = runScenarioGrid(2, 1);
+    const std::string report = runScenarioGrid(2);
 
     if (std::getenv("IADM_REGEN_GOLDEN") != nullptr) {
         std::ofstream os(kScenarioFixturePath, std::ios::binary);
@@ -502,24 +496,9 @@ TEST(ScenarioSweep, MatchesGoldenFixtureByteForByte)
 
 TEST(ScenarioSweep, ReportBytesIdenticalAcrossWorkerCounts)
 {
-    const std::string one = runScenarioGrid(1, 1);
-    EXPECT_EQ(one, runScenarioGrid(4, 1));
-    EXPECT_EQ(one, runScenarioGrid(8, 1));
-}
-
-/**
- * The bursty-gate race regression: the per-source on/off bytes are
- * mutated from gate() in the serial draw phase, so any shard count
- * must reproduce the serial bytes exactly — and under TSan (this
- * suite is in the tsan preset) a word-sharing regression like the
- * old std::vector<bool> state would be flagged as a data race.
- */
-TEST(ScenarioSweep, ReportBytesIdenticalAcrossShardCounts)
-{
-    const std::string serial = runScenarioGrid(2, 1);
-    for (const unsigned shards : {2u, 4u, 8u})
-        EXPECT_EQ(serial, runScenarioGrid(2, shards))
-            << "shards=" << shards;
+    const std::string one = runScenarioGrid(1);
+    EXPECT_EQ(one, runScenarioGrid(4));
+    EXPECT_EQ(one, runScenarioGrid(8));
 }
 
 } // namespace

@@ -73,8 +73,7 @@ printUsage(std::ostream &os)
            " --traffic is an alias)\n"
         << "                   [--churn bernoulli:PF:PR|"
            "geometric:MTBF:MTTR|burst:IVL:DUR:SPAN]\n"
-        << "                   [--max-age CYCLES] [--shards S]"
-           " [--health]\n"
+        << "                   [--max-age CYCLES] [--health]\n"
         << "  iadm_tool sweep  [--sizes 8,16] [--schemes "
            "ssdt,tsdt,...]\n"
         << "                   [--rates 0.1,0.3] [--caps 4]\n"
@@ -94,8 +93,8 @@ printUsage(std::ostream &os)
            "[--max-age CYCLES]\n"
         << "                   [--crossbar 0,1] [--replicates R]\n"
         << "                   [--warmup C] [--cycles C] [--seed S]\n"
-        << "                   [--workers W] [--shards S] "
-           "[--out FILE] [--no-timing]\n"
+        << "                   [--workers W] [--out FILE] "
+           "[--no-timing]\n"
         << "                   [--stats] [--trace-dir DIR] "
            "[--health]\n"
         << "  iadm_tool trace  <src> <dst> [--n N] "
@@ -426,9 +425,6 @@ cmdSim(Label n_size, const std::string &scheme, double rate,
         } else if (extra[i] == "--max-age" && i + 1 < extra.size()) {
             cfg.maxPacketAge = static_cast<sim::Cycle>(
                 std::strtoull(extra[++i].c_str(), nullptr, 10));
-        } else if (extra[i] == "--shards" && i + 1 < extra.size()) {
-            cfg.shards =
-                static_cast<unsigned>(std::atoi(extra[++i].c_str()));
         } else {
             std::cerr << "sim: bad flag " << extra[i] << "\n";
             return 2;
@@ -655,7 +651,6 @@ cmdSweep(const std::vector<std::string> &args)
     grid.measureCycles = 1000;
     grid.warmupCycles = 200;
     unsigned workers = 1;
-    unsigned sim_shards = 1;
     std::string out_path, trace_dir;
     bool timing = true;
     bool stats = false;
@@ -771,9 +766,6 @@ cmdSweep(const std::vector<std::string> &args)
         } else if (flag == "--workers") {
             workers =
                 static_cast<unsigned>(std::atoi(val.c_str()));
-        } else if (flag == "--shards") {
-            sim_shards =
-                static_cast<unsigned>(std::atoi(val.c_str()));
         } else if (flag == "--out") {
             out_path = val;
         } else if (flag == "--trace-dir") {
@@ -799,7 +791,6 @@ cmdSweep(const std::vector<std::string> &args)
     const bool progress = !out_path.empty();
     sim::SweepOptions opts;
     opts.workers = workers;
-    opts.simShards = sim_shards;
     if (health) {
         if (!obs::healthCompiledIn())
             IADM_WARN("this build compiled without IADM_HEALTH; "
