@@ -173,11 +173,11 @@ BENCHMARK(BM_RerouteCached)->Arg(0)->Arg(16)->Arg(64);
 
 /**
  * Pure decode cost of a compressed cache entry: expanding the
- * 16-bit delta word back into the per-stage switch list a packet
- * embeds.  This is the extra work a hit pays under the 16-byte
- * entry layout compared to copying a stored pathSw[] — the faults
- * arg only varies the state bits decoded, the cost is fault-blind
- * by construction (~n integer ops, no loads).
+ * 16-bit delta word back into the explicit per-stage switch list.
+ * This is the extra work a reader of the 16-byte entry layout pays
+ * compared to copying a stored switch list — the faults arg only
+ * varies the state bits decoded, the cost is fault-blind by
+ * construction (~n integer ops, no loads).
  */
 void
 BM_DecodeDelta(benchmark::State &state)

@@ -59,11 +59,17 @@
  * --no-cache disables the route cache for an uncached baseline of
  * the same binary.  The binary re-reads and schema-checks its own
  * report before exiting, so a malformed document fails the run.
+ *
+ * A row that delivered nothing measured an idle (wedged) network,
+ * whose cycles/sec is not throughput: it gains "wedged": true in the
+ * report and a warning on stderr, and the table prints no rates
+ * for it.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -130,7 +136,25 @@ struct ConfigResult
     const char *traceMode = nullptr; //!< "off"/"on" in paired mode
     const char *healthMode = nullptr; //!< "off"/"on" in paired mode
     const char *churnMode = nullptr; //!< "off"/"on" in paired mode
+
+    /** Nothing delivered: the rates time an idle network. */
+    bool wedged() const { return delivered == 0; }
 };
+
+/** Flag a wedged row on stderr (its rates are not throughput). */
+void
+warnIfWedged(const ConfigResult &r)
+{
+    if (!r.wedged())
+        return;
+    std::fprintf(stderr,
+                 "warning: N=%u %s faults=%zu cache=%s delivered 0 "
+                 "packets in %llu cycles: wedged, its cycles/sec and "
+                 "hops/sec are not throughput\n",
+                 r.netSize, routingSchemeName(r.scheme), r.faultLinks,
+                 r.routeCache ? "on" : "off",
+                 static_cast<unsigned long long>(r.cycles));
+}
 
 std::uint64_t
 percentileNs(std::vector<std::uint64_t> &sorted, double q)
@@ -271,6 +295,10 @@ writeReport(std::ostream &os, const Options &opt,
         w.value(r.delivered);
         w.key("hops");
         w.value(r.hops);
+        if (r.wedged()) {
+            w.key("wedged");
+            w.value(true);
+        }
         if (r.traceMode != nullptr) {
             w.key("trace_mode");
             w.value(r.traceMode);
@@ -411,6 +439,10 @@ main(int argc, char **argv)
         RoutingScheme::TsdtDynamic};
 
     std::vector<ConfigResult> results;
+    const auto record = [&results](const ConfigResult &r) {
+        warnIfWedged(r);
+        results.push_back(r);
+    };
     std::cout << "  N  scheme         faults  cache   cycles/sec"
                  "      hops/sec    p50(ns)    p99(ns)\n";
     for (const Label n_size : sizes) {
@@ -451,8 +483,8 @@ main(int argc, char **argv)
                         off.routeCache ? "on" : "off",
                         off.cyclesPerSec, off.hopsPerSec,
                         on.cyclesPerSec, pct);
-                    results.push_back(off);
-                    results.push_back(on);
+                    record(off);
+                    record(on);
                     continue;
                 }
                 if (opt.healthOverhead) {
@@ -480,8 +512,8 @@ main(int argc, char **argv)
                         off.routeCache ? "on" : "off",
                         off.cyclesPerSec, off.hopsPerSec,
                         on.cyclesPerSec, pct);
-                    results.push_back(off);
-                    results.push_back(on);
+                    record(off);
+                    record(on);
                     continue;
                 }
                 if (opt.cachePairs) {
@@ -510,8 +542,8 @@ main(int argc, char **argv)
                         on.netSize, routingSchemeName(on.scheme),
                         on.faultLinks, on.cyclesPerSec,
                         on.hopsPerSec, off.cyclesPerSec, speedup);
-                    results.push_back(on);
-                    results.push_back(off);
+                    record(on);
+                    record(off);
                     continue;
                 }
                 if (opt.churnOverhead) {
@@ -535,21 +567,29 @@ main(int argc, char **argv)
                         off.routeCache ? "on" : "off",
                         off.cyclesPerSec, off.hopsPerSec,
                         on.cyclesPerSec, pct);
-                    results.push_back(off);
-                    results.push_back(on);
+                    record(off);
+                    record(on);
                     continue;
                 }
                 const auto r =
                     runConfig(n_size, scheme, fault_links, opt);
-                std::printf(
-                    "%5u  %-13s %6zu  %5s %12.0f  %12.0f  %9llu  "
-                    "%9llu\n",
-                    r.netSize, routingSchemeName(r.scheme),
-                    r.faultLinks, r.routeCache ? "on" : "off",
-                    r.cyclesPerSec, r.hopsPerSec,
-                    static_cast<unsigned long long>(r.stepP50Ns),
-                    static_cast<unsigned long long>(r.stepP99Ns));
-                results.push_back(r);
+                if (r.wedged())
+                    std::printf("%5u  %-13s %6zu  %5s  wedged: 0 "
+                                "delivered, no rates\n",
+                                r.netSize,
+                                routingSchemeName(r.scheme),
+                                r.faultLinks,
+                                r.routeCache ? "on" : "off");
+                else
+                    std::printf(
+                        "%5u  %-13s %6zu  %5s %12.0f  %12.0f  %9llu  "
+                        "%9llu\n",
+                        r.netSize, routingSchemeName(r.scheme),
+                        r.faultLinks, r.routeCache ? "on" : "off",
+                        r.cyclesPerSec, r.hopsPerSec,
+                        static_cast<unsigned long long>(r.stepP50Ns),
+                        static_cast<unsigned long long>(r.stepP99Ns));
+                record(r);
             }
         }
     }

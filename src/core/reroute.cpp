@@ -143,19 +143,11 @@ unsigned
 decodeDelta(Label src, Label dest, Label state_bits,
             unsigned n_stages, std::uint16_t *path_sw) noexcept
 {
-    const Label n_size = Label{1} << n_stages;
-    const Label mask = n_size - 1;
+    const Label mask = (Label{1} << n_stages) - 1;
     Label j = src;
     path_sw[0] = static_cast<std::uint16_t>(j);
     for (unsigned i = 0; i < n_stages; ++i) {
-        const Label step = Label{1} << i;
-        // Lemma A1.1: straight iff b_i == j_i; else Plus (+2^i) iff
-        // b_{n+i} == j_i, Minus (-2^i) otherwise.  -2^i mod N is
-        // N - 2^i, so both nonstraight offsets fold into one
-        // multiply-free select.
-        const Label ns = ((dest ^ j) >> i) & 1u;
-        const Label minus = ((state_bits ^ j) >> i) & 1u;
-        j = (j + ns * (step + minus * (n_size - 2 * step))) & mask;
+        j = tsdtStep(j, i, dest, state_bits, mask);
         path_sw[i + 1] = static_cast<std::uint16_t>(j);
     }
     return n_stages + 1;

@@ -88,15 +88,12 @@ CompactRoute universalRouteCompact(const topo::IadmTopology &topo,
  * Expand a compressed path delta back into explicit switch labels:
  * writes the n+1 switches the TSDT path from @p src visits under
  * destination bits @p dest and state bits @p state_bits into
- * @p path_sw (packet-embedded Packet::pathSw form, path_sw[0] =
- * src) and returns n+1.
+ * @p path_sw (path_sw[0] = src, path_sw[i] = the stage-i switch)
+ * and returns n+1.
  *
- * This is tsdtTrace() re-derived from Lemma A1.1 in branch-light
- * form — per stage i with j the current switch and step = 2^i:
- *
- *   ns     = ((dest ^ j) >> i) & 1        straight iff b_i == j_i
- *   minus  = ((state_bits ^ j) >> i) & 1  else Plus iff b_{n+i}==j_i
- *   j      = (j + ns * (step + minus * (N - 2*step))) mod N
+ * This is tsdtTrace() re-derived from Lemma A1.1 as n applications
+ * of the branch-free tsdtStep() (core/tsdt.hpp), the same step
+ * tsdtSwitchAt() replays for a single stage.
  *
  * No table loads, no branches in the loop body: decoding a cached
  * route costs ~n integer ops, which is what lets a route-cache

@@ -106,6 +106,48 @@ Label tsdtNext(Label j, unsigned i, const TsdtTag &tag, Label n_size);
 Path tsdtTrace(Label src, const TsdtTag &tag, Label n_size);
 
 /**
+ * One TSDT hop in branch-free form: the stage i+1 switch reached
+ * from switch @p j of stage @p i under destination bits @p dest and
+ * state bits @p state_bits, in a network of N = @p mask + 1.
+ * Lemma A1.1 with step = 2^i:
+ *
+ *   ns    = ((dest ^ j) >> i) & 1        straight iff b_i == j_i
+ *   minus = ((state_bits ^ j) >> i) & 1  else Plus iff b_{n+i}==j_i
+ *   next  = (j + ns * (step + minus * (N - 2*step))) mod N
+ *
+ * -2^i mod N is N - 2^i, so both nonstraight offsets fold into one
+ * select: no table loads, no branches.
+ */
+inline Label
+tsdtStep(Label j, unsigned i, Label dest, Label state_bits,
+         Label mask) noexcept
+{
+    const Label step = Label{1} << i;
+    const Label ns = ((dest ^ j) >> i) & 1u;
+    const Label minus = ((state_bits ^ j) >> i) & 1u;
+    return (j + ns * (step + minus * (mask + 1 - 2 * step))) & mask;
+}
+
+/**
+ * The switch at stage @p stage of the TSDT path from @p src under
+ * destination bits @p dest and state bits @p state_bits in an
+ * @p n_stages-stage network: tsdtTrace(...).switchAt(stage) in
+ * O(stage) integer ops with no allocation.  By Theorem 3.1 and
+ * Lemma A1.1 (src, tag) *is* the path, so a packet need not carry
+ * a copy of it.
+ */
+inline Label
+tsdtSwitchAt(Label src, Label dest, Label state_bits, unsigned stage,
+             unsigned n_stages) noexcept
+{
+    const Label mask = (Label{1} << n_stages) - 1;
+    Label j = src;
+    for (unsigned i = 0; i < stage; ++i)
+        j = tsdtStep(j, i, dest, state_bits, mask);
+    return j;
+}
+
+/**
  * The canonical initial tag for (src, dest): destination bits = dest,
  * all state bits 0 (every switch in state C), under which the IADM
  * network emulates the ICube network and the path visits

@@ -83,7 +83,6 @@ SteadyStateTracker::analyze() const
         }
     }
 
-    r.stable = true;
     r.truncatedWindows = best_d;
     double s_tp = 0;
     double s_lat = 0;
@@ -91,6 +90,10 @@ SteadyStateTracker::analyze() const
         s_tp += windows_[i].throughput;
         s_lat += windows_[i].avgLatency * windows_[i].throughput;
     }
+    // A suffix that delivered nothing has zero variance, so MSER
+    // happily "converges" on it — but a dead series is a wedge, not
+    // a steady state.
+    r.stable = s_tp > 0;
     r.steadyThroughput = s_tp / static_cast<double>(n - best_d);
     r.steadyAvgLatency = s_tp > 0 ? s_lat / s_tp : 0;
     return r;

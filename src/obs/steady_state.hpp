@@ -49,7 +49,10 @@ class SteadyStateTracker
 
     struct Result
     {
-        /** True when enough windows exist for the MSER rule. */
+        /**
+         * True when enough windows exist for the MSER rule and the
+         * retained suffix delivered something.
+         */
         bool stable = false;
         std::size_t windows = 0;          //!< total windows collected
         std::size_t truncatedWindows = 0; //!< MSER deletion point d*

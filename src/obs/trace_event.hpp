@@ -12,8 +12,8 @@
  *
  * The tag snapshot (tagDest/tagState) mirrors core::TsdtTag at the
  * moment of the event, truncated to 16 bits per word — the same
- * N <= 2^16 bound the simulator's in-packet path cache already
- * imposes (Packet::kMaxTracedStages).
+ * N <= 2^16 bound the route cache's 16-bit path delta already
+ * imposes (sim::RouteCache::kMaxStages).
  */
 
 #ifndef IADM_OBS_TRACE_EVENT_HPP

@@ -28,18 +28,12 @@ fastTsdtKind(Label j, unsigned i, const core::TsdtTag &tag)
 }
 
 /**
- * Residency bound for the dynamic scheme's route-cache table: the
- * initial-tag fill it memoizes is so cheap (a handful of integer
- * ops since the compressed entry carries no explicit path) that the
- * cache only pays while the table itself stays cache-resident.  At
- * the 16-byte compressed entry size the unchanged 4 MiB bound holds
- * 4x the slots the 64-byte layout did — the full auto-sized table
- * of N <= 362 networks, vs N <= 181 before — so uniform dynamic
- * traffic keeps the cache on across the mid sizes that previously
- * fell off the residency cliff.  Beyond that the gate still turns
- * the cache off rather than shrink it: a 4x-oversubscribed table
- * evicts faster than it hits and loses to the ~10-load link-table
- * trace it replaces (measured at N=1024 — docs/PERF.md).
+ * Residency bound for the dynamic scheme's route-cache table.  A
+ * hit yields only the initial tag, which initialTag() computes in a
+ * few integer ops, so the probe saves no work; it is kept because
+ * its hit/miss counters are part of the sweep reports.  It runs
+ * only while the table stays cache-resident: the full auto-sized
+ * table of N <= 362 networks at the 16-byte entry size.
  */
 constexpr std::size_t kDynamicCacheMaxBytes = 4u << 20;
 
@@ -93,11 +87,11 @@ NetworkSim::NetworkSim(const SimConfig &cfg,
     gated_ = traffic_->gated();
     feedback_ = traffic_->closedLoop();
     // The route cache exists whenever the scheme resolves tags at
-    // injection and the packet path cache can hold a full path; the
-    // config flag only governs whether it starts enabled, so the
+    // injection and an entry's delta word can hold the state bits;
+    // the config flag only governs whether it starts enabled, so the
     // uncached baseline is one setRouteCacheEnabled(true) away.
     if (schemeResolvesTags(cfg.scheme) &&
-        topo_.stages() <= Packet::kMaxTracedStages) {
+        topo_.stages() <= RouteCache::kMaxStages) {
         rcache_ = RouteCache(cfg.netSize, cfg.routeCacheCapacity);
         rcacheEnabled_ = cfg.routeCache;
     }
@@ -196,45 +190,12 @@ NetworkSim::runChurn()
     churnNext_ = next;
 }
 
-void
-NetworkSim::cachePath(Packet &p) const
-{
-    const unsigned n = ltab_.stages();
-    if (n > Packet::kMaxTracedStages) {
-        p.pathValid = false; // huge network: fall back to re-tracing
-        return;
-    }
-    Label j = p.src;
-    p.pathSw[0] = static_cast<std::uint16_t>(j);
-    for (unsigned i = 0; i < n; ++i) {
-        j = ltab_.to(i, j, fastTsdtKind(j, i, p.tag));
-        p.pathSw[i + 1] = static_cast<std::uint16_t>(j);
-    }
-    p.pathValid = true;
-}
-
 Label
-NetworkSim::pathSwitchAt(const Packet &p, unsigned stage) const
+NetworkSim::switchOnPath(const Packet &p, unsigned stage) const
 {
-    if (p.pathValid)
-        return p.pathSw[stage];
-    return core::tsdtTrace(p.src, p.tag, cfg_.netSize)
-        .switchAt(stage);
-}
-
-core::Path
-NetworkSim::materializePath(const Packet &p) const
-{
-    if (!p.pathValid)
-        return core::tsdtTrace(p.src, p.tag, cfg_.netSize);
-    const unsigned n = ltab_.stages();
-    std::vector<Label> sw(n + 1);
-    std::vector<topo::LinkKind> kinds(n);
-    for (unsigned i = 0; i <= n; ++i)
-        sw[i] = p.pathSw[i];
-    for (unsigned i = 0; i < n; ++i)
-        kinds[i] = fastTsdtKind(sw[i], i, p.tag);
-    return {std::move(sw), std::move(kinds)};
+    return core::tsdtSwitchAt(p.src, p.tag.destination(),
+                              p.tag.stateBits(), stage,
+                              ltab_.stages());
 }
 
 void
@@ -265,9 +226,8 @@ NetworkSim::inject()
     const bool sender = cfg_.scheme == RoutingScheme::TsdtSender;
     // Fault-free sender tags are the plain initial tags: cheaper to
     // recompute than to probe for, so the cache sits this out.  The
-    // dynamic scheme's fill (an initial tag, decoded to a path only
-    // at packet construction) is almost as cheap, so memoizing it
-    // only pays while the table stays cache-resident
+    // dynamic scheme's fill (an initial tag) is just as cheap; its
+    // probe is kept only while the table stays cache-resident
     // (kDynamicCacheMaxBytes above; the compressed entries put the
     // full auto-sized table of N <= 362 under the bound).
     const bool use_cache =
@@ -294,7 +254,6 @@ NetworkSim::inject()
         core::TsdtTag tag;
         bool has_tag = false;
         unsigned reroutes = 0;
-        const RouteCache::Entry *path_entry = nullptr;
         if (sender) {
             if (faults_.empty()) {
                 // Nothing blocked: REROUTE would trace the initial
@@ -372,8 +331,7 @@ NetworkSim::inject()
         } else if (cfg_.scheme == RoutingScheme::TsdtDynamic &&
                    use_cache) {
             // Dynamic TSDT packets start from the initial tag; the
-            // cache memoizes the packet-embedded path trace that
-            // cachePath() would otherwise redo per packet.
+            // entry memoizes it as the all-state-C delta word.
             const auto [entry, hit] =
                 rcache_.acquire(src, dst, version, 0);
             IADM_TRACE_EVENT(trace_,
@@ -412,13 +370,11 @@ NetworkSim::inject()
                 entry->flags |= RouteCache::Entry::kOk;
             }
             tag = entry->tagFor(n);
-            path_entry = entry;
         } else {
             tag = core::initialTag(n, dst);
         }
-        // Build the packet directly in its slab slot; every live
-        // field of the stale slot is overwritten (pathSw is only
-        // read while pathValid).
+        // Build the packet directly in its slab slot; every field of
+        // the stale slot is overwritten.
         Packet *slot = emplaceAt(0, src);
         if (slot == nullptr) {
             metrics_.recordThrottled();
@@ -447,18 +403,6 @@ NetworkSim::inject()
         slot->hasTag = has_tag;
         slot->goingBack = false;
         slot->undeliverable = false;
-        if (path_entry != nullptr) {
-            // Expand the compressed delta straight into the packet's
-            // path buffer — the decode IS the fill (~n integer ops,
-            // no table loads; see core::decodeDelta).
-            core::decodeDelta(src, dst, path_entry->delta, n,
-                              slot->pathSw);
-            slot->pathValid = true;
-        } else {
-            slot->pathValid = false;
-            if (cfg_.scheme == RoutingScheme::TsdtDynamic)
-                cachePath(*slot);
-        }
         ++inFlight_;
         if (feedback_)
             traffic_->onInject(src);
@@ -558,7 +502,6 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
                 // Corollary 4.1 applied by the switch: complement
                 // the tag's state bit in flight.
                 p.tag.flipStateBit(stage);
-                cachePath(p);
                 ++p.reroutes;
                 metrics_.recordReroute(stage);
                 IADM_TRACE_EVENT(
@@ -572,7 +515,8 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
         // Straight or double-nonstraight blockage: rewrite the tag
         // (Corollary 4.2 / BACKTRACK) and turn the packet around.
         // Failure leaves the packet to be dropped by the caller.
-        const core::Path path = materializePath(p);
+        const core::Path path =
+            core::tsdtTrace(p.src, p.tag, cfg_.netSize);
         const auto kind2 =
             kind == topo::LinkKind::Straight
                 ? fault::BlockageKind::Straight
@@ -589,7 +533,6 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
             return std::nullopt;
         }
         p.tag = *re;
-        cachePath(p);
         ++p.reroutes;
         metrics_.recordReroute(stage);
         IADM_TRACE_EVENT(trace, obs::EventKind::Reroute, p.id, now_,
@@ -732,9 +675,9 @@ NetworkSim::advanceStageImpl(unsigned stage)
         if (h.movedAt == now_)
             return;
         if (h.goingBack) {
-            if (stage > h.resumeStage && h.pathValid)
-                queues_.prefetchTail(
-                    queues_.qid(stage - 1, h.pathSw[stage - 1]));
+            if (stage > h.resumeStage)
+                queues_.prefetchTail(queues_.qid(
+                    stage - 1, switchOnPath(h, stage - 1)));
             return;
         }
         Label to;
@@ -822,7 +765,15 @@ NetworkSim::advanceStageImpl(unsigned stage)
                 // path; below the rewrite stage old and new paths
                 // coincide, so the previous switch is the new
                 // path's stage-1 switch.
-                const Label down_j = pathSwitchAt(head, stage - 1);
+                const Label down_j = switchOnPath(head, stage - 1);
+#ifdef IADM_SANITIZE_BUILD
+                IADM_ASSERT(
+                    down_j == core::tsdtTrace(head.src, head.tag,
+                                              cfg_.netSize)
+                                  .switchAt(stage - 1),
+                    "derived path diverged from tsdtTrace for packet ",
+                    head.id, " at stage ", stage - 1);
+#endif
                 if (queues_.full(queues_.qid(stage - 1, down_j))) {
                     // A backward walker stalled on a full queue can
                     // be one arc of a wait-for cycle (the queue's
@@ -1010,7 +961,7 @@ NetworkSim::healthNextQueue(unsigned stage, Label j,
     // Backward walks wait purely on queue space (the mover checks
     // only fullness, never the fault view).
     if (h.goingBack && stage > h.resumeStage)
-        return queues_.qid(stage - 1, pathSwitchAt(h, stage - 1));
+        return queues_.qid(stage - 1, switchOnPath(h, stage - 1));
     if (stage + 1 == ltab_.stages())
         return kHealthNoQueue; // delivery never waits on a queue
     // A head parked on a FAIL verdict or a downed link is waiting on

@@ -348,14 +348,11 @@ class NetworkSim
     void recordFaultTransition(Cycle cycle, const topo::Link &link,
                                bool down);
 
-    /** Refresh p.pathSw from (p.src, p.tag); see Packet::pathSw. */
-    void cachePath(Packet &p) const;
-
-    /** Switch the packet's path visits at @p stage (cached or not). */
-    Label pathSwitchAt(const Packet &p, unsigned stage) const;
-
-    /** Build a core::Path for BACKTRACK (cold path only). */
-    core::Path materializePath(const Packet &p) const;
+    /**
+     * Switch the packet's path visits at @p stage, replayed from
+     * (p.src, p.tag) by core::tsdtSwitchAt (O(stage), no loads).
+     */
+    Label switchOnPath(const Packet &p, unsigned stage) const;
 
     // Queue operations with stage occupancy bookkeeping.  Inline:
     // every packet movement of every cycle funnels through these.
@@ -379,8 +376,7 @@ class NetworkSim
     /**
      * Claim the tail slot of (stage, j) for in-place construction;
      * nullptr when full.  The slot holds a stale packet: the caller
-     * must overwrite every live field (pathSw may stay stale — it
-     * is only read while pathValid).
+     * must overwrite every field.
      */
     Packet *
     emplaceAt(unsigned stage, Label j)

@@ -5,10 +5,14 @@
  *
  * Packet is the unit the hot path copies between ring-buffer queue
  * slots every hop, so its layout is pinned: 8-byte fields first,
- * then the tag and 4-byte fields, then the cached path and flags.
+ * then the tag and 4-byte fields, then the epoch stamp and flags.
  * sizeof(Packet) is static_assert'ed below (and re-checked in
  * tests/sim_test.cpp) so accidental growth of the hot struct fails
  * loudly instead of silently dilating every queue operation.
+ *
+ * A packet carries no copy of its path: by Theorem 3.1 and
+ * Lemma A1.1, (src, tag) *is* the path, and core::tsdtSwitchAt()
+ * replays any stage of it in O(stage) integer ops.
  */
 
 #ifndef IADM_SIM_PACKET_HPP
@@ -27,12 +31,6 @@ using Cycle = std::uint64_t;
 /** One message moving through the network. */
 struct Packet
 {
-    /**
-     * Largest stage count whose TSDT path fits the in-packet cache
-     * (N up to 2^16; larger networks fall back to re-tracing).
-     */
-    static constexpr unsigned kMaxTracedStages = 16;
-
     std::uint64_t id = 0;
     Cycle injected = 0;   //!< cycle the packet entered stage 0
     Cycle movedAt = ~Cycle{0}; //!< cycle of the last hop (move guard)
@@ -41,15 +39,6 @@ struct Packet
     Label dst = 0;
     unsigned reroutes = 0; //!< spare-link / tag repairs experienced
     unsigned resumeStage = 0; //!< stage to resume forward motion at
-
-    /**
-     * Cached TSDT path: the switch visited at every stage 0..n under
-     * (src, tag), refreshed whenever the tag is computed or
-     * rewritten.  Lets the dynamic scheme's backward walk and
-     * blockage classification read the path instead of re-running
-     * core::tsdtTrace every cycle.  Valid only while pathValid.
-     */
-    std::uint16_t pathSw[kMaxTracedStages + 1] = {};
 
     /**
      * Truncated FaultSet::version() stamp of the last fault-epoch
@@ -65,15 +54,14 @@ struct Packet
     bool hasTag = false;
     bool goingBack = false;   //!< dynamic scheme: walking backward
     bool undeliverable = false; //!< dynamic scheme: BACKTRACK failed
-    bool pathValid = false;   //!< pathSw mirrors the current tag
 };
 
 // The hot-struct pin: growing Packet dilates every slab copy the
 // simulator makes, so growth must be a conscious decision here (and
-// in the matching test), never a side effect.  96 bytes also means
-// every ring slot spans exactly two cache lines (stride is 32 mod
-// 64), never three.
-static_assert(sizeof(Packet) == 96, "Packet grew: re-budget the "
+// in the matching test), never a side effect.  At 64 bytes a hop
+// copies one cache line's worth of data; the slab is not 64-byte
+// aligned, so a slot may straddle two lines, never three.
+static_assert(sizeof(Packet) == 64, "Packet grew: re-budget the "
                                     "hot path before raising this");
 
 } // namespace iadm::sim

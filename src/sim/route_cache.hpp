@@ -19,7 +19,7 @@
  * key's own dst (Theorem 3.1: REROUTE never changes them), and its
  * n state bits pin down the full path under Lemma A1.1, so the
  * 16-bit delta word IS the path; core::decodeDelta() expands it
- * back into Packet::pathSw in ~n integer ops on a hit.  This is the
+ * back into explicit switch labels in ~n integer ops.  This is the
  * Hari/Niesen/Wilfong observation (PAPERS.md) that forwarding state
  * compresses far below an explicit path, specialized to the IADM
  * state model where it is exact and lossless (docs/SIMULATOR.md).
@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "core/reroute.hpp"
-#include "sim/packet.hpp"
 
 namespace iadm::obs {
 class StatsRegistry;
@@ -63,19 +62,21 @@ class RouteCache
 {
   public:
     /**
-     * Decode-buffer slots a cached path expands into (mirrors
-     * Packet::pathSw).
+     * Largest stage count whose state bits fit Entry::delta
+     * (N up to 2^16); larger networks get no route cache.
      */
-    static constexpr unsigned kMaxPathSw =
-        Packet::kMaxTracedStages + 1;
+    static constexpr unsigned kMaxStages = 16;
+
+    /** Decode-buffer slots a cached path expands into. */
+    static constexpr unsigned kMaxPathSw = kMaxStages + 1;
 
     /** Slots inspected per probe before evicting (4 cache lines). */
     static constexpr unsigned kMaxProbe = 16;
 
     /**
-     * One cached route, compressed to a quarter cache line: the
-     * explicit pathSw[] of the 64-byte layout is replaced by the
-     * 16-bit state-bit delta that decodeDelta() expands on demand.
+     * One cached route, compressed to a quarter cache line: no
+     * explicit per-stage switch list, only the 16-bit state-bit
+     * delta that decodeDelta() expands on demand.
      */
     struct Entry
     {
@@ -133,9 +134,8 @@ class RouteCache
     static_assert(sizeof(Label) * 8 >= 32,
                   "Entry::key packs two 16-bit labels into a Label-"
                   "sized word");
-    static_assert(Packet::kMaxTracedStages >= 16,
-                  "a 16-bit delta word encodes up to n = 16 stages; "
-                  "the packet path buffer must hold that decode");
+    static_assert(kMaxStages <= sizeof(Entry::delta) * 8,
+                  "Entry::delta holds one state bit per stage");
 
     /** Cumulative counters (not reset by the owner's warmup). */
     struct Stats

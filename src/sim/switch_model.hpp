@@ -189,7 +189,9 @@ class QueueArena
 
     /**
      * Hint the head (pop side) or tail (push side) slot of @p q
-     * into cache ahead of use; Packet spans two cache lines.
+     * into cache ahead of use.  A 64-byte Packet in an unaligned
+     * slab straddles at most two lines: its first and last byte
+     * name both (the same line when the slot happens to be aligned).
      */
     void
     prefetchFront(std::size_t q) const
@@ -197,7 +199,6 @@ class QueueArena
         const auto *p = reinterpret_cast<const char *>(
             &slab_[(q << shift_) + (head_[q] & mask_)]);
         __builtin_prefetch(p);
-        __builtin_prefetch(p + 64);
         __builtin_prefetch(p + sizeof(Packet) - 1);
     }
 
@@ -207,7 +208,6 @@ class QueueArena
         auto *p = reinterpret_cast<char *>(
             &slab_[(q << shift_) + (tail_[q] & mask_)]);
         __builtin_prefetch(p, 1);
-        __builtin_prefetch(p + 64, 1);
         __builtin_prefetch(p + sizeof(Packet) - 1, 1);
     }
 

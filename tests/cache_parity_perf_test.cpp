@@ -10,7 +10,7 @@
  *
  * This is deliberately a live A/B, not a fixture diff: it stays
  * valid across intentional fixture regenerations, and it pins the
- * decode-on-hit path (packets built from decodeDelta'd pathSw)
+ * replay-on-hit path (packets built from a cached delta word)
  * against the never-cached path on every grid class at once.
  */
 

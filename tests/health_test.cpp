@@ -251,6 +251,30 @@ TEST(SteadyState, ConstantSeriesKeepsEveryWindow)
     EXPECT_DOUBLE_EQ(r.steadyThroughput, r.wholeThroughput);
 }
 
+TEST(SteadyState, DeadSeriesIsNeverStable)
+{
+    // A wedged network delivers 0 in every window: the zero-variance
+    // suffix minimizes MSER trivially, but it is not a steady state.
+    SteadyStateTracker t;
+    for (int i = 0; i < 16; ++i)
+        t.addWindow(0.0, 0.0);
+    const auto r = t.analyze();
+    EXPECT_FALSE(r.stable);
+    EXPECT_EQ(r.windows, 16u);
+    EXPECT_DOUBLE_EQ(r.steadyThroughput, 0.0);
+
+    // Same verdict when the network wedges after a live warmup and
+    // MSER truncates the live prefix away.
+    SteadyStateTracker late;
+    for (int i = 0; i < 8; ++i)
+        late.addWindow(1.0, 20.0);
+    for (int i = 0; i < 24; ++i)
+        late.addWindow(0.0, 0.0);
+    const auto r2 = late.analyze();
+    EXPECT_EQ(r2.truncatedWindows, 8u);
+    EXPECT_FALSE(r2.stable);
+}
+
 // ------------------------------------------------- sim integration
 
 TEST(SimHealth, ChurnHeavyRunPassesCleanForEveryScheme)

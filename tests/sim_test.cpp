@@ -209,7 +209,7 @@ TEST(Packet, HotStructSizeIsPinned)
     // Mirrors the static_assert in packet.hpp: growing the hot
     // struct dilates every slab copy the simulator makes and must
     // be a conscious decision, never a side effect.
-    EXPECT_EQ(sizeof(Packet), 96u);
+    EXPECT_EQ(sizeof(Packet), 64u);
 }
 
 TEST(QueueArena, RejectsPushWhenFullWithoutDisturbingNeighbors)

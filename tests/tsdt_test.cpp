@@ -326,6 +326,60 @@ TEST(TsdtTagDeathTest, TraceRejectsSizeMismatch)
                  "tag/network size mismatch");
 }
 
+/**
+ * core::tsdtSwitchAt must agree with tsdtTrace at every stage of the
+ * path from @p s under (d, st): the simulator derives a packet's path
+ * from (src, tag) with it instead of storing one.  Returns the number
+ * of disagreeing stages.
+ */
+unsigned
+switchAtMismatches(Label s, Label d, Label st, unsigned n)
+{
+    const Path p = tsdtTrace(s, TsdtTag(n, d, st), Label{1} << n);
+    unsigned bad = 0;
+    for (unsigned i = 0; i <= n; ++i)
+        if (core::tsdtSwitchAt(s, d, st, i, n) != p.switchAt(i))
+            ++bad;
+    return bad;
+}
+
+TEST(TsdtSwitchAt, MatchesTraceExhaustivelyAtN16)
+{
+    const unsigned n = 4;
+    for (Label s = 0; s < 16; ++s)
+        for (Label d = 0; d < 16; ++d)
+            for (Label st = 0; st < 16; ++st)
+                ASSERT_EQ(switchAtMismatches(s, d, st, n), 0u)
+                    << s << "->" << d << " state " << st;
+}
+
+/** 10k random (src, dst, state) triples, every stage of each. */
+void
+expectSwitchAtMatchesRandomly(unsigned n, std::uint64_t seed)
+{
+    const Label n_size = Label{1} << n;
+    Rng rng(seed);
+    for (int trial = 0; trial < 10000; ++trial) {
+        const auto s = static_cast<Label>(rng.uniform(n_size));
+        const auto d = static_cast<Label>(rng.uniform(n_size));
+        const auto st = static_cast<Label>(rng.uniform(n_size));
+        ASSERT_EQ(switchAtMismatches(s, d, st, n), 0u)
+            << s << "->" << d << " state " << st << " n=" << n;
+    }
+}
+
+TEST(TsdtSwitchAt, MatchesTraceRandomlyAtN4096)
+{
+    expectSwitchAtMatchesRandomly(12, 4096);
+}
+
+TEST(TsdtSwitchAt, MatchesTracePastSixteenStages)
+{
+    // n = 17 (N = 131072): beyond the route cache's 16-bit delta,
+    // where the simulator still derives paths the same way.
+    expectSwitchAtMatchesRandomly(17, 17);
+}
+
 TEST(TsdtTag, StrIsLsbFirst)
 {
     // d = 0, state bits b_3 b_4 b_5 = 1 1 0 -> "000110".
