@@ -72,12 +72,16 @@ GeometricChurn::GeometricChurn(const topo::MultistageTopology &topo,
                                double mtbf, double mttr,
                                std::uint64_t seed)
     : links_(topo.allLinks()), down_(links_.size(), 0),
-      nextAt_(links_.size()), mtbf_(mtbf), mttr_(mttr), rng_(seed)
+      nextAt_(links_.size()), head_(kWheelSpan, kNil),
+      next_(links_.size()), mtbf_(mtbf), mttr_(mttr), rng_(seed)
 {
     IADM_ASSERT(mtbf >= 1.0 && mttr >= 1.0,
                 "mean holding times must be >= 1 cycle");
-    for (std::size_t i = 0; i < links_.size(); ++i)
+    IADM_ASSERT(links_.size() < kNil, "too many links for the wheel");
+    for (std::uint32_t i = 0; i < links_.size(); ++i) {
         nextAt_[i] = holdingTime(mtbf_);
+        schedule(i);
+    }
     cachedNext_ = links_.empty()
                       ? kNever
                       : *std::min_element(nextAt_.begin(),
@@ -99,17 +103,56 @@ GeometricChurn::nextTransition() const
     return cachedNext_;
 }
 
+std::uint64_t
+GeometricChurn::earliestAfter(std::uint64_t now) const
+{
+    // Every pending time is > now.  The first bucket holding a link
+    // due on this lap gives the answer; if none of the next
+    // kWheelSpan buckets does, the scan has seen every link and
+    // keeps their minimum.
+    std::uint64_t best = kNever;
+    for (std::uint64_t c = now + 1; c <= now + kWheelSpan; ++c) {
+        for (std::uint32_t i = head_[c & (kWheelSpan - 1)]; i != kNil;
+             i = next_[i]) {
+            if (nextAt_[i] == c)
+                return c;
+            best = std::min(best, nextAt_[i]);
+        }
+    }
+    return best;
+}
+
 void
 GeometricChurn::runUntil(std::uint64_t now, FaultSet &faults,
                          const Observer &obs)
 {
     if (cachedNext_ > now)
         return;
+    // Unlink every link due by `now` from the buckets of cycles
+    // [cachedNext_, now] (the whole wheel on a jump of a lap or
+    // more); links due on a later lap stay where they are.
+    due_.clear();
+    const std::uint64_t buckets =
+        std::min(now - cachedNext_ + 1, kWheelSpan);
+    for (std::uint64_t c = cachedNext_; c < cachedNext_ + buckets;
+         ++c) {
+        std::uint32_t *prev = &head_[c & (kWheelSpan - 1)];
+        while (*prev != kNil) {
+            const std::uint32_t i = *prev;
+            if (nextAt_[i] <= now) {
+                *prev = next_[i];
+                due_.push_back(i);
+            } else {
+                prev = &next_[i];
+            }
+        }
+    }
     // Links are independent renewal processes, so draining each
-    // link's transitions in turn (links in fixed index order, each
-    // link's transitions in time order) is deterministic.
-    std::uint64_t next = kNever;
-    for (std::size_t i = 0; i < links_.size(); ++i) {
+    // due link's transitions in turn (links in ascending index
+    // order, each link's transitions in time order) is
+    // deterministic; it is the order a scan over all links takes.
+    std::sort(due_.begin(), due_.end());
+    for (const std::uint32_t i : due_) {
         while (nextAt_[i] <= now) {
             const std::uint64_t t = nextAt_[i];
             if (down_[i]) {
@@ -126,9 +169,9 @@ GeometricChurn::runUntil(std::uint64_t now, FaultSet &faults,
                 nextAt_[i] = t + holdingTime(mttr_);
             }
         }
-        next = std::min(next, nextAt_[i]);
+        schedule(i);
     }
-    cachedNext_ = next;
+    cachedNext_ = earliestAfter(now);
 }
 
 std::string

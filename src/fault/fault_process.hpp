@@ -99,12 +99,21 @@ class BernoulliChurn final : public FaultProcess
  * alternates healthy-for-~MTBF / failed-for-~MTTR, with holding
  * times drawn independently per link (discretized exponential,
  * mean = the respective parameter, minimum 1 cycle).  Unlike
- * BernoulliChurn this skips ahead: cost is O(active transitions),
- * not O(links) per cycle.
+ * BernoulliChurn this skips ahead: pending transitions sit on a
+ * calendar wheel of kWheelSpan one-cycle buckets, so runUntil()
+ * visits only the buckets it drains and costs O(active
+ * transitions), not O(links) per cycle.
  */
 class GeometricChurn final : public FaultProcess
 {
   public:
+    /**
+     * Buckets on the calendar wheel (a power of two).  A link whose
+     * next transition is a lap or more away stays in its bucket and
+     * is skipped until its lap comes round.
+     */
+    static constexpr std::uint64_t kWheelSpan = 4096;
+
     GeometricChurn(const topo::MultistageTopology &topo, double mtbf,
                    double mttr, std::uint64_t seed);
 
@@ -114,11 +123,31 @@ class GeometricChurn final : public FaultProcess
     std::string name() const override;
 
   private:
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
     std::uint64_t holdingTime(double mean);
+
+    /** Push link @p i onto the bucket of nextAt_[i]. */
+    void
+    schedule(std::uint32_t i)
+    {
+        std::uint32_t &h = head_[nextAt_[i] & (kWheelSpan - 1)];
+        next_[i] = h;
+        h = i;
+    }
+
+    /** Exact earliest nextAt_ over all links, scanning from @p now. */
+    std::uint64_t earliestAfter(std::uint64_t now) const;
 
     std::vector<topo::Link> links_;
     std::vector<std::uint8_t> down_;
     std::vector<std::uint64_t> nextAt_;
+    //! Calendar: bucket t % kWheelSpan heads an intrusive list of
+    //! the links whose nextAt_ is t (this lap or a later one),
+    //! chained through next_; kNil ends a list.
+    std::vector<std::uint32_t> head_;
+    std::vector<std::uint32_t> next_;
+    std::vector<std::uint32_t> due_; //!< runUntil scratch
     double mtbf_;
     double mttr_;
     Rng rng_;

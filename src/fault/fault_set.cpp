@@ -20,18 +20,18 @@ blockageKindName(BlockageKind k)
 void
 FaultSet::blockLink(const topo::Link &l)
 {
-    ++blocked[l.key()];
+    add(l.key(), 1);
     ++version_;
 }
 
 void
 FaultSet::unblockLink(const topo::Link &l)
 {
-    const auto it = blocked.find(l.key());
-    if (it == blocked.end())
+    const std::size_t i = size_ != 0 ? find(l.key()) : kNone;
+    if (i == kNone)
         return; // no outstanding claim: nothing to release
-    if (--it->second == 0)
-        blocked.erase(it);
+    if (--slots_[i].claims == 0)
+        erase(i);
     ++version_;
 }
 
@@ -51,41 +51,100 @@ FaultSet::blockSwitch(const topo::MultistageTopology &topo,
         blockLink(l);
 }
 
-bool
-FaultSet::isBlocked(const topo::Link &l) const
-{
-    return blocked.count(l.key()) != 0;
-}
-
 void
 FaultSet::clear()
 {
-    blocked.clear();
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
     ++version_;
 }
 
 void
 FaultSet::merge(const FaultSet &other)
 {
-    for (const auto &[key, cnt] : other.blocked)
-        blocked[key] += cnt;
+    // Self-merge is safe: every key is already present, so add()
+    // only bumps claims in place and never grows mid-iteration.
+    other.forEach([this](std::uint64_t key, std::uint32_t claims) {
+        add(key, claims);
+    });
     ++version_;
 }
 
 std::uint32_t
 FaultSet::refcount(const topo::Link &l) const
 {
-    const auto it = blocked.find(l.key());
-    return it == blocked.end() ? 0 : it->second;
+    const std::size_t i = size_ != 0 ? find(l.key()) : kNone;
+    return i == kNone ? 0 : slots_[i].claims;
+}
+
+void
+FaultSet::add(std::uint64_t key, std::uint32_t claims)
+{
+    if (size_ != 0) {
+        const std::size_t i = find(key);
+        if (i != kNone) {
+            slots_[i].claims += claims;
+            return;
+        }
+    }
+    if (2 * (size_ + 1) > slots_.size())
+        grow();
+    place({key, claims});
+    ++size_;
+}
+
+void
+FaultSet::place(const Slot &s)
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = home(s.key);
+    while (slots_[i].claims != 0)
+        i = (i + 1) & mask;
+    slots_[i] = s;
+}
+
+void
+FaultSet::erase(std::size_t i)
+{
+    // Backward-shift deletion: walk the probe run after the gap and
+    // pull back every entry whose home does not lie cyclically in
+    // (gap, j], so every remaining key stays reachable from its home
+    // without tombstones.
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t j = (i + 1) & mask; slots_[j].claims != 0;
+         j = (j + 1) & mask) {
+        const std::size_t dist = (j - home(slots_[j].key)) & mask;
+        if (dist >= ((j - i) & mask)) {
+            slots_[i] = slots_[j];
+            i = j;
+        }
+    }
+    slots_[i] = Slot{};
+    --size_;
+}
+
+void
+FaultSet::grow()
+{
+    constexpr std::size_t kMinSlots = 16;
+    std::vector<Slot> old = std::move(slots_);
+    const std::size_t cap =
+        old.empty() ? kMinSlots : 2 * old.size();
+    slots_.assign(cap, Slot{});
+    shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(cap));
+    for (const Slot &s : old)
+        if (s.claims != 0)
+            place(s);
 }
 
 std::string
 FaultSet::str() const
 {
     std::vector<std::uint64_t> keys;
-    keys.reserve(blocked.size());
-    for (const auto &[key, cnt] : blocked)
+    keys.reserve(size_);
+    forEach([&keys](std::uint64_t key, std::uint32_t) {
         keys.push_back(key);
+    });
     std::sort(keys.begin(), keys.end());
     std::ostringstream os;
     os << "{";

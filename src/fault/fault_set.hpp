@@ -12,9 +12,9 @@
 #ifndef IADM_FAULT_FAULT_SET_HPP
 #define IADM_FAULT_FAULT_SET_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "topology/topology.hpp"
@@ -47,6 +47,12 @@ const char *blockageKindName(BlockageKind k);
  * blocked until every source has released it.  An unblockLink() with
  * no matching blockLink() is a no-op, so releasing a blockage can
  * never erase someone else's.
+ *
+ * Storage is one flat open-addressing table of (link key, claims)
+ * slots: multiplicative hash of topo::Link::key(), linear probing,
+ * backward-shift deletion (no tombstones) and doubling at half
+ * load.  A claim on an already-sized table allocates nothing, and
+ * isBlocked() is one or two cache-line probes.
  */
 class FaultSet
 {
@@ -70,7 +76,11 @@ class FaultSet
                      unsigned stage, Label j);
 
     /** True iff the link is blocked. */
-    bool isBlocked(const topo::Link &l) const;
+    bool
+    isBlocked(const topo::Link &l) const
+    {
+        return size_ != 0 && find(l.key()) != kNone;
+    }
 
     /** Remove all blockages. */
     void clear();
@@ -79,14 +89,15 @@ class FaultSet
     void merge(const FaultSet &other);
 
     /** Number of blocked links (not claims). */
-    std::size_t count() const { return blocked.size(); }
+    std::size_t count() const { return size_; }
 
-    bool empty() const { return blocked.empty(); }
+    bool empty() const { return size_ == 0; }
 
     /**
-     * Mutation counter, bumped by every block/unblock/clear/merge.
-     * Cached views of the set (e.g. the simulator's bitset-backed
-     * FaultView) compare it to decide when to refresh.
+     * Mutation counter, bumped by every block/clear/merge and by
+     * every unblock that releases a claim.  RouteCache entries and
+     * the daemon's EpochGuard are stamped with it; the simulator's
+     * FaultView does not read it (it is updated per transition).
      */
     std::uint64_t version() const { return version_; }
 
@@ -94,20 +105,68 @@ class FaultSet
     std::uint32_t refcount(const topo::Link &l) const;
 
     /**
-     * The blocked links as stored keys (stage/from/kind encoded),
-     * mapped to their outstanding claim counts.
+     * Call @p visit(key, claims) once per blocked link, with the
+     * stored link key (stage/from/kind encoded, topo::Link::key())
+     * and its outstanding claim count, in unspecified order.
      */
-    const std::unordered_map<std::uint64_t, std::uint32_t> &
-    keys() const
+    template <class Visit>
+    void
+    forEach(Visit &&visit) const
     {
-        return blocked;
+        for (const Slot &s : slots_)
+            if (s.claims != 0)
+                visit(s.key, s.claims);
     }
 
     /** Render as a sorted list of link keys for diagnostics. */
     std::string str() const;
 
   private:
-    std::unordered_map<std::uint64_t, std::uint32_t> blocked;
+    /** One table slot; claims == 0 marks it empty. */
+    struct Slot
+    {
+        std::uint64_t key = 0;
+        std::uint32_t claims = 0;
+    };
+
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    /** Home slot of @p key: the top log2(capacity) hash bits. */
+    std::size_t
+    home(std::uint64_t key) const
+    {
+        return static_cast<std::size_t>(
+            (key * 0x9e3779b97f4a7c15ull) >> shift_);
+    }
+
+    /** Slot holding @p key, or kNone.  Requires a nonempty table. */
+    std::size_t
+    find(std::uint64_t key) const
+    {
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = home(key);; i = (i + 1) & mask) {
+            if (slots_[i].claims == 0)
+                return kNone;
+            if (slots_[i].key == key)
+                return i;
+        }
+    }
+
+    /** Add @p claims to @p key, inserting it if absent. */
+    void add(std::uint64_t key, std::uint32_t claims);
+
+    /** Store @p s in the first empty slot of its probe run. */
+    void place(const Slot &s);
+
+    /** Empty slot @p i, shifting its probe run back over the gap. */
+    void erase(std::size_t i);
+
+    /** Double the table (first use: allocate it) and rehash. */
+    void grow();
+
+    std::vector<Slot> slots_; //!< power-of-two size, or empty
+    std::size_t size_ = 0;    //!< occupied slots (blocked links)
+    unsigned shift_ = 64;     //!< 64 - log2(slots_.size())
     std::uint64_t version_ = 0;
 };
 

@@ -10,13 +10,15 @@
  * one contiguous [stage][switch][kind] array of destination labels
  * at construction; FaultView mirrors a FaultSet into a bitset over
  * the same flat index so the per-hop blockage test is one word
- * load.  Both are built once per NetworkSim; the view re-syncs only
- * when FaultSet::version() changes (transient blockage events).
+ * load.  Both are built once per NetworkSim; after construction the
+ * view follows the set one link transition at a time (churn and
+ * transient blockage events), never by a full rebuild.
  */
 
 #ifndef IADM_SIM_LINK_TABLE_HPP
 #define IADM_SIM_LINK_TABLE_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -80,8 +82,9 @@ class LinkTable
  *
  * refresh() decodes the set's stored link keys
  * ((stage << 40) | (from << 8) | kind, see topo::Link::key()) into
- * the flat bitset; the owner re-calls it whenever
- * FaultSet::version() moves.
+ * the flat bitset once, at construction of the owner; from then on
+ * the owner calls set() for every link whose blockage changes.
+ * Keys that are not IADM links of this network are ignored.
  */
 class FaultView
 {
@@ -99,20 +102,19 @@ class FaultView
     refresh(const fault::FaultSet &faults)
     {
         std::fill(words_.begin(), words_.end(), 0);
-        any_ = false;
-        for (const auto &[key, refs] : faults.keys()) {
-            const auto stage = static_cast<unsigned>(key >> 40);
-            const auto from =
-                static_cast<Label>((key >> 8) & 0xffffffffu);
-            const auto kind = static_cast<unsigned>(key & 0xffu);
-            if (stage >= stages_ || from >= n_ || kind > 2)
-                continue; // not an IADM link of this network
-            const std::size_t idx =
-                (static_cast<std::size_t>(stage) * n_ + from) * 3 +
-                kind;
-            words_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-            any_ = true;
-        }
+        blocked_ = 0;
+        faults.forEach([this](std::uint64_t key, std::uint32_t) {
+            set(static_cast<unsigned>(key >> 40),
+                static_cast<Label>((key >> 8) & 0xffffffffu),
+                static_cast<unsigned>(key & 0xffu), true);
+        });
+    }
+
+    /** Mark link @p l blocked or clear, e.g. after a transition. */
+    void
+    set(const topo::Link &l, bool blocked)
+    {
+        set(l.stage, l.from, static_cast<unsigned>(l.kind), blocked);
     }
 
     /** True iff the link at flat index @p idx is blocked. */
@@ -130,14 +132,29 @@ class FaultView
             static_cast<std::size_t>(kind));
     }
 
-    /** False iff the whole view is known blockage-free. */
-    bool anyBlocked() const { return any_; }
+    /** False iff the whole view is blockage-free. */
+    bool anyBlocked() const { return blocked_ != 0; }
 
   private:
+    void
+    set(unsigned stage, Label from, unsigned kind, bool blocked)
+    {
+        if (stage >= stages_ || from >= n_ || kind > 2)
+            return; // not an IADM link of this network
+        const std::size_t idx =
+            (static_cast<std::size_t>(stage) * n_ + from) * 3 + kind;
+        std::uint64_t &w = words_[idx >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (idx & 63);
+        if (((w & bit) != 0) == blocked)
+            return;
+        w ^= bit;
+        blocked ? ++blocked_ : --blocked_;
+    }
+
     unsigned stages_;
     Label n_;
     std::vector<std::uint64_t> words_;
-    bool any_ = false;
+    std::size_t blocked_ = 0; //!< set bits in words_
 };
 
 } // namespace iadm::sim

@@ -96,7 +96,7 @@ NetworkSim::NetworkSim(const SimConfig &cfg,
         rcacheEnabled_ = cfg.routeCache;
     }
     pending_.reserve(cfg.netSize);
-    refreshFaultView();
+    fview_.refresh(faults_);
 }
 
 void
@@ -113,6 +113,7 @@ void
 NetworkSim::resetMetrics()
 {
     metrics_ = Metrics(cfg_.netSize, topo_.stages());
+    inFlightAtReset_ = inFlight();
 }
 
 std::size_t
@@ -127,16 +128,13 @@ NetworkSim::inFlight() const
 }
 
 void
-NetworkSim::refreshFaultView()
-{
-    fview_.refresh(faults_);
-    faultsVersion_ = faults_.version();
-}
-
-void
 NetworkSim::recordFaultTransition(Cycle cycle, const topo::Link &link,
                                   bool down)
 {
+    // The claim is already applied; the link's bit follows the
+    // set's refcounted answer, so a release that leaves another
+    // claim standing keeps it blocked.
+    fview_.set(link, faults_.isBlocked(link));
     metrics_.recordFaultTransition(down);
     IADM_TRACE_EVENT(trace_,
                      down ? obs::EventKind::FaultDown
@@ -1079,8 +1077,6 @@ NetworkSim::step()
     if (now_ >= churnNext_)
         runChurn();
     events_.runUntil(now_);
-    if (faults_.version() != faultsVersion_)
-        refreshFaultView();
     inject();
     for (unsigned stage = ltab_.stages(); stage-- > 0;) {
         ++epoch_; // resets every acceptance count to zero, O(1)
@@ -1090,6 +1086,19 @@ NetworkSim::step()
         if (__builtin_expect(health_ != nullptr, 0))
             healthTick();
     }
+#ifdef IADM_SANITIZE_BUILD
+    // Conservation: every packet injected since the reset (plus
+    // those already in flight then) is delivered, dropped with a
+    // reason, or still queued.
+    IADM_ASSERT(metrics_.injected() + inFlightAtReset_ ==
+                    metrics_.delivered() + metrics_.dropped() +
+                        inFlight(),
+                "packet conservation broken at cycle ", now_,
+                ": injected ", metrics_.injected(), " + ",
+                inFlightAtReset_, " at reset != delivered ",
+                metrics_.delivered(), " + dropped ",
+                metrics_.dropped(), " + in flight ", inFlight_);
+#endif
     ++now_;
 }
 

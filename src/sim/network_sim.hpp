@@ -13,9 +13,9 @@
  *
  * The hot path is flat (docs/PERF.md): link destinations come from
  * a precomputed LinkTable, blockage tests from a bitset FaultView
- * that re-syncs on FaultSet mutation, queues live in one
- * ring-buffer QueueArena slab, and the dynamic TSDT scheme reads
- * the path cached in each packet instead of re-tracing its tag.
+ * updated per link transition, queues live in one ring-buffer
+ * QueueArena slab, and the dynamic TSDT scheme replays a packet's
+ * path from (src, tag) instead of storing it.
  * step() performs no heap allocation and no virtual topology calls
  * in steady state.
  */
@@ -229,7 +229,6 @@ class NetworkSim
     // --- flattened hot-path state (docs/PERF.md) ------------------
     LinkTable ltab_;    //!< [stage][switch][kind] -> destination
     FaultView fview_;   //!< bitset mirror of faults_, same indexing
-    std::uint64_t faultsVersion_ = ~std::uint64_t{0};
     QueueArena queues_; //!< all stages x N queues, one Packet slab
     std::vector<std::uint32_t> stageSize_;     //!< packets per stage
     std::vector<std::uint32_t> stageOccupied_; //!< nonempty queues
@@ -249,6 +248,8 @@ class NetworkSim
     std::vector<std::uint64_t> accepted_;
     std::uint64_t epoch_ = 0;
     std::size_t inFlight_ = 0;
+    /** inFlight_ when metrics were last reset (conservation base). */
+    std::size_t inFlightAtReset_ = 0;
     Label mask_ = 0;     //!< netSize - 1 (N is a power of two)
     bool gated_ = true;  //!< traffic_->gated(), cached at build
     /** traffic_->closedLoop(), cached at build.  When set, the
@@ -338,13 +339,13 @@ class NetworkSim
 
     static constexpr std::size_t kHealthNoQueue = ~std::size_t{0};
 
-    /** Re-sync fview_ with faults_ (called when version() moves). */
-    void refreshFaultView();
-
     /** Drain due churn transitions; recomputes churnNext_. */
     void runChurn();
 
-    /** Trace + metrics for one link transition (churn/transient). */
+    /**
+     * Trace + metrics for one link transition (churn/transient),
+     * and the only place fview_ follows faults_ after construction.
+     */
     void recordFaultTransition(Cycle cycle, const topo::Link &link,
                                bool down);
 

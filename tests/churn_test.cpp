@@ -17,8 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <tuple>
@@ -144,8 +147,9 @@ TEST_P(ChurnKinds, EveryFailureIsEventuallyRepaired)
     for (const auto &[cycle, key, down] : log)
         down ? ++downs : ++ups;
     std::size_t claims = 0;
-    for (const auto &[key, cnt] : fs.keys())
+    fs.forEach([&claims](std::uint64_t, std::uint32_t cnt) {
         claims += cnt;
+    });
     EXPECT_EQ(downs, ups + claims)
         << "a repair fired without a matching failure (or lost one)";
 }
@@ -163,6 +167,176 @@ INSTANTIATE_TEST_SUITE_P(Kinds, ChurnKinds,
                          ::testing::Values("bernoulli:0.001:0.05",
                                            "geometric:300:60",
                                            "burst:400:120:4"));
+
+// --- geometric churn calendar vs the O(links) scan ----------------
+
+/**
+ * GeometricChurn as a scan over every link per runUntil(): the
+ * reference the calendar wheel must reproduce transition for
+ * transition (same RNG draws, same FaultSet claims, same observer
+ * order), kept here only.
+ */
+class ScanGeometricChurn
+{
+  public:
+    ScanGeometricChurn(const topo::MultistageTopology &topo,
+                       double mtbf, double mttr, std::uint64_t seed)
+        : links_(topo.allLinks()), down_(links_.size(), 0),
+          nextAt_(links_.size()), mtbf_(mtbf), mttr_(mttr), rng_(seed)
+    {
+        for (auto &t : nextAt_)
+            t = holdingTime(mtbf_);
+        next_ = links_.empty() ? fault::FaultProcess::kNever
+                               : *std::min_element(nextAt_.begin(),
+                                                   nextAt_.end());
+    }
+
+    std::uint64_t nextTransition() const { return next_; }
+
+    void
+    runUntil(std::uint64_t now, fault::FaultSet &faults,
+             const fault::FaultProcess::Observer &obs)
+    {
+        if (next_ > now)
+            return;
+        std::uint64_t next = fault::FaultProcess::kNever;
+        for (std::size_t i = 0; i < links_.size(); ++i) {
+            while (nextAt_[i] <= now) {
+                const std::uint64_t t = nextAt_[i];
+                const bool down = !down_[i];
+                down_[i] = down;
+                if (down)
+                    faults.blockLink(links_[i]);
+                else
+                    faults.unblockLink(links_[i]);
+                obs(t, links_[i], down);
+                nextAt_[i] = t + holdingTime(down ? mttr_ : mtbf_);
+            }
+            next = std::min(next, nextAt_[i]);
+        }
+        next_ = next;
+    }
+
+  private:
+    std::uint64_t
+    holdingTime(double mean)
+    {
+        const double u = rng_.uniformReal();
+        return 1 + static_cast<std::uint64_t>(-mean * std::log1p(-u));
+    }
+
+    std::vector<topo::Link> links_;
+    std::vector<std::uint8_t> down_;
+    std::vector<std::uint64_t> nextAt_;
+    double mtbf_;
+    double mttr_;
+    Rng rng_;
+    std::uint64_t next_;
+};
+
+/** Every blocked link's key mapped to its claim count. */
+std::map<std::uint64_t, std::uint32_t>
+claimsOf(const fault::FaultSet &fs)
+{
+    std::map<std::uint64_t, std::uint32_t> m;
+    fs.forEach([&m](std::uint64_t key, std::uint32_t cnt) {
+        m.emplace(key, cnt);
+    });
+    return m;
+}
+
+struct CalendarCase
+{
+    Label n;
+    double mtbf;
+    double mttr;
+};
+
+void
+PrintTo(const CalendarCase &c, std::ostream *os)
+{
+    *os << "N=" << c.n << " geometric:" << c.mtbf << ":" << c.mttr;
+}
+
+class GeometricCalendar : public ::testing::TestWithParam<CalendarCase>
+{
+};
+
+TEST_P(GeometricCalendar, MatchesLinkScanAcrossStepsAndJumps)
+{
+    const CalendarCase cc = GetParam();
+    const IadmTopology topo(cc.n);
+    constexpr std::uint64_t kSeed = 4242;
+    fault::GeometricChurn wheel(topo, cc.mtbf, cc.mttr, kSeed);
+    ScanGeometricChurn scan(topo, cc.mtbf, cc.mttr, kSeed);
+
+    // The same static faults under both, so churn claims stack on
+    // existing ones and refcounts above 1 are compared too.
+    fault::FaultSet fw, fs;
+    const auto all = topo.allLinks();
+    for (std::size_t i = 0; i < all.size(); i += 37) {
+        fw.blockLink(all[i]);
+        fs.blockLink(all[i]);
+    }
+
+    std::vector<Transition> logW, logS;
+    const auto obsW = [&logW](std::uint64_t t, const topo::Link &l,
+                              bool down) {
+        logW.emplace_back(t, l.key(), down);
+    };
+    const auto obsS = [&logS](std::uint64_t t, const topo::Link &l,
+                              bool down) {
+        logS.emplace_back(t, l.key(), down);
+    };
+
+    std::uint64_t now = 0;
+    const auto advanceTo = [&](std::uint64_t to) {
+        ASSERT_LE(wheel.nextTransition(), scan.nextTransition())
+            << "calendar promised a later transition at " << now;
+        now = to;
+        wheel.runUntil(now, fw, obsW);
+        scan.runUntil(now, fs, obsS);
+    };
+    const auto expectSame = [&](const char *phase) {
+        ASSERT_EQ(logW.size(), logS.size()) << phase << " at " << now;
+        EXPECT_TRUE(logW == logS) << phase << " at " << now;
+        EXPECT_EQ(fw.str(), fs.str()) << phase << " at " << now;
+        EXPECT_EQ(claimsOf(fw), claimsOf(fs)) << phase << " at " << now;
+        EXPECT_EQ(fw.version(), fs.version()) << phase;
+    };
+
+    for (int k = 0; k < 600; ++k)
+        advanceTo(now + 1);
+    expectSame("single steps");
+
+    Rng jumps(9);
+    for (int k = 0; k < 120; ++k)
+        advanceTo(now + 1 + jumps.uniform(97));
+    expectSame("irregular jumps");
+
+    advanceTo(now + fault::GeometricChurn::kWheelSpan + 1234);
+    expectSame("jump longer than the wheel");
+
+    for (int k = 0; k < 300; ++k)
+        advanceTo(now + 1 + (k % 3 == 0 ? jumps.uniform(5) : 0));
+    expectSame("steps after the long jump");
+
+    EXPECT_GT(logS.size(), 0u) << "the process never fired";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, GeometricCalendar,
+    ::testing::Values(
+        // The sweep workload's churn at N=1024.
+        CalendarCase{1024, 400.0, 80.0},
+        // Holding times beyond the wheel span: links wait out laps.
+        CalendarCase{64, 3000.0, 900.0},
+        // Short holds: several transitions per link per jump.
+        CalendarCase{64, 6.0, 2.0}),
+    [](const auto &info) {
+        return "N" + std::to_string(info.param.n) + "_mtbf" +
+               std::to_string(static_cast<int>(info.param.mtbf));
+    });
 
 TEST(ChurnSpec, RejectsMalformedSpecs)
 {

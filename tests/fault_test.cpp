@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <sstream>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "fault/fault_set.hpp"
 #include "fault/injection.hpp"
 #include "topology/iadm.hpp"
@@ -17,6 +23,19 @@ using fault::FaultSet;
 using topo::IadmTopology;
 using topo::Link;
 using topo::LinkKind;
+
+/** Every blocked link's key mapped to its claim count. */
+std::map<std::uint64_t, std::uint32_t>
+claimsOf(const FaultSet &fs)
+{
+    std::map<std::uint64_t, std::uint32_t> m;
+    fs.forEach([&m](std::uint64_t key, std::uint32_t cnt) {
+        EXPECT_TRUE(m.emplace(key, cnt).second)
+            << "forEach visited key " << key << " twice";
+        EXPECT_GT(cnt, 0u) << "forEach visited an unclaimed key";
+    });
+    return m;
+}
 
 TEST(FaultSet, BlockUnblock)
 {
@@ -227,13 +246,131 @@ TEST(Injection, DoubleNonstraightFaults)
     EXPECT_EQ(pairs, 4u);
 }
 
+/**
+ * FaultSet against a std::map reference: claims per key, the
+ * version-bump rule, and str().  The key pool is chosen so the keys'
+ * multiplicative hashes (the table's, see fault_set.hpp) land in
+ * the few home slots around the wrap point of every table size up
+ * to 1024 slots, so probe runs collide, wrap and are shifted back
+ * by deletions all the time.
+ */
+TEST(FaultSet, FlatTableMatchesMapReference)
+{
+    constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+    std::vector<Link> pool;
+    for (std::uint32_t c = 0; pool.size() < 48; ++c) {
+        const Link l{c % 13, c / 3, 0, static_cast<LinkKind>(c % 3)};
+        const std::uint64_t top10 = (l.key() * kMul) >> 54;
+        if (top10 < 4 || top10 >= 1020)
+            pool.push_back(l);
+    }
+    const IadmTopology t(8);
+    for (const Link &l : t.allLinks())
+        pool.push_back(l); // what blockSwitch claims, plus spread keys
+
+    FaultSet fs;
+    std::map<std::uint64_t, std::uint32_t> ref;
+    std::uint64_t refVersion = fs.version();
+    const auto refAdd = [&](const Link &l, std::uint32_t n) {
+        ref[l.key()] += n;
+    };
+    const auto check = [&](long op) {
+        ASSERT_EQ(fs.count(), ref.size()) << "op " << op;
+        ASSERT_EQ(fs.empty(), ref.empty()) << "op " << op;
+        ASSERT_EQ(fs.version(), refVersion) << "op " << op;
+    };
+
+    Rng rng(2024);
+    constexpr long kOps = 120000;
+    for (long op = 0; op < kOps; ++op) {
+        const unsigned r = static_cast<unsigned>(rng.uniform(1000));
+        const Link &l = pool[rng.uniform(pool.size())];
+        if (r < 470) {
+            fs.blockLink(l);
+            refAdd(l, 1);
+            ++refVersion;
+        } else if (r < 970) {
+            fs.unblockLink(l);
+            const auto it = ref.find(l.key());
+            if (it != ref.end()) {
+                if (--it->second == 0)
+                    ref.erase(it);
+                ++refVersion;
+            }
+        } else if (r < 985) {
+            const auto stage =
+                static_cast<unsigned>(rng.uniform(t.stages()));
+            const auto j = static_cast<Label>(rng.uniform(t.size()));
+            fs.blockSwitch(t, stage, j);
+            const auto links =
+                stage == 0 ? t.outLinks(0, j) : t.inLinks(stage, j);
+            for (const Link &b : links) {
+                refAdd(b, 1);
+                ++refVersion;
+            }
+        } else if (r < 998) {
+            FaultSet other;
+            std::vector<Link> added;
+            const auto k = rng.uniform(8);
+            for (std::uint64_t i = 0; i < k; ++i) {
+                added.push_back(pool[rng.uniform(pool.size())]);
+                other.blockLink(added.back());
+            }
+            std::uint32_t maxClaims = 0;
+            for (const auto &[key, cnt] : ref)
+                maxClaims = std::max(maxClaims, cnt);
+            if (maxClaims < 64 && rng.uniform(4) == 0) {
+                fs.merge(fs); // self-merge doubles every claim
+                for (auto &[key, cnt] : ref)
+                    cnt *= 2;
+                ++refVersion;
+            }
+            fs.merge(other);
+            for (const Link &b : added)
+                refAdd(b, 1);
+            ++refVersion;
+        } else {
+            fs.clear();
+            ref.clear();
+            ++refVersion;
+        }
+        const auto it = ref.find(l.key());
+        ASSERT_EQ(fs.refcount(l), it == ref.end() ? 0u : it->second)
+            << "op " << op;
+        ASSERT_EQ(fs.isBlocked(l), it != ref.end()) << "op " << op;
+        check(op);
+        if (op % 997 == 0) {
+            for (const Link &p : pool) {
+                const auto pit = ref.find(p.key());
+                ASSERT_EQ(fs.refcount(p),
+                          pit == ref.end() ? 0u : pit->second)
+                    << "op " << op << " key " << p.key();
+                ASSERT_EQ(fs.isBlocked(p), pit != ref.end());
+            }
+            ASSERT_EQ(claimsOf(fs), ref) << "op " << op;
+            std::ostringstream os;
+            os << "{";
+            for (auto k = ref.begin(); k != ref.end(); ++k)
+                os << (k == ref.begin() ? "" : ",") << k->first;
+            os << "}";
+            ASSERT_EQ(fs.str(), os.str()) << "op " << op;
+        }
+    }
+
+    // Copies are independent tables with the same contents.
+    FaultSet copy = fs;
+    EXPECT_EQ(claimsOf(copy), claimsOf(fs));
+    copy.clear();
+    EXPECT_EQ(claimsOf(fs), ref);
+}
+
 TEST(Injection, Deterministic)
 {
     IadmTopology t(32);
     Rng a(77), b(77);
     const FaultSet fa = fault::randomLinkFaults(t, 10, a);
     const FaultSet fb = fault::randomLinkFaults(t, 10, b);
-    EXPECT_EQ(fa.keys(), fb.keys());
+    EXPECT_EQ(claimsOf(fa), claimsOf(fb));
 }
 
 TEST(BlockageKind, Names)
