@@ -13,7 +13,7 @@
  * Usage:
  *   bench_hotpath [--cycles N] [--net-size N] [--rate R]
  *                 [--faults K] [--no-cache] [--out FILE]
- *                 [--traffic uniform|transpose|bitrev|hotspot]
+ *                 [--traffic SPEC]
  *                 [--trace-overhead] [--health-overhead]
  *                 [--churn-overhead] [--cache-pairs]
  *
@@ -49,6 +49,10 @@
  * diverge — and the cycles/sec ratio is the speedup the compressed
  * 16-byte entries buy (docs/PERF.md quotes these numbers).
  *
+ * --traffic takes any traffic scenario spec (docs/SIMULATOR.md,
+ * "Spec grammar"); the default is uniform.  Every numeric flag is
+ * read strictly (common/spec_reader.hpp) and a bad value exits 2.
+ *
  * --net-size 0 (default) runs the full {64, 256, 1024} ladder; a
  * specific size runs only that one (the perf-smoke ctest uses
  * --cycles 2000 --net-size 64).  By default every (size, scheme)
@@ -73,12 +77,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/json_writer.hpp"
+#include "common/spec_reader.hpp"
 #include "obs/health.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/network_sim.hpp"
@@ -95,27 +101,15 @@ struct Options
     Cycle cycles = 8000;
     Label netSize = 0; //!< 0 = the full {64, 256, 1024} ladder
     double rate = 0.35;
-    long faults = -1;  //!< -1 = ladder default {0, 6 * N / 64}
+    std::optional<std::size_t> faults; //!< unset = {0, 6 * N / 64}
     bool noCache = false;
     bool cachePairs = false;
     bool traceOverhead = false;
     bool healthOverhead = false;
     bool churnOverhead = false;
-    std::string traffic = "uniform"; //!< uniform|transpose|bitrev|hotspot
+    TrafficSpec traffic; //!< uniform unless --traffic
     std::string out = "BENCH_hotpath.json";
 };
-
-std::unique_ptr<TrafficPattern>
-makeTraffic(const std::string &name, Label n_size)
-{
-    if (name == "transpose")
-        return makeTransposeTraffic(n_size);
-    if (name == "bitrev")
-        return makeBitReversalTraffic(n_size);
-    if (name == "hotspot")
-        return std::make_unique<HotspotTraffic>(n_size, 0, 0.2);
-    return std::make_unique<UniformTraffic>(n_size);
-}
 
 struct ConfigResult
 {
@@ -190,7 +184,7 @@ runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
                                fault_links}
                      .make(topo, frng);
     }
-    NetworkSim s(cfg, makeTraffic(opt.traffic, n_size),
+    NetworkSim s(cfg, opt.traffic.make(n_size),
                  std::move(faults));
     if (sink != nullptr) {
         sink->clear();
@@ -262,7 +256,7 @@ writeReport(std::ostream &os, const Options &opt,
     w.key("injection_rate");
     w.value(opt.rate);
     w.key("traffic");
-    w.value(opt.traffic);
+    w.value(opt.traffic.name());
     w.key("configs");
     w.beginArray();
     for (const auto &r : results) {
@@ -348,62 +342,45 @@ parseArgs(int argc, char **argv, Options &opt)
 {
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
-        const auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
+        const auto next = [&]() -> std::string_view {
+            return i + 1 < argc ? argv[++i] : "";
         };
-        try {
-            if (flag == "--cycles") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                opt.cycles = std::stoull(v);
-            } else if (flag == "--net-size") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                opt.netSize = static_cast<Label>(std::stoul(v));
-            } else if (flag == "--rate") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                opt.rate = std::stod(v);
-            } else if (flag == "--faults") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                opt.faults = std::stol(v);
-                if (opt.faults < 0)
-                    return false;
-            } else if (flag == "--no-cache") {
-                opt.noCache = true;
-            } else if (flag == "--cache-pairs") {
-                opt.cachePairs = true;
-            } else if (flag == "--trace-overhead") {
-                opt.traceOverhead = true;
-            } else if (flag == "--health-overhead") {
-                opt.healthOverhead = true;
-            } else if (flag == "--churn-overhead") {
-                opt.churnOverhead = true;
-            } else if (flag == "--traffic") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                opt.traffic = v;
-                if (opt.traffic != "uniform" &&
-                    opt.traffic != "transpose" &&
-                    opt.traffic != "bitrev" &&
-                    opt.traffic != "hotspot")
-                    return false;
-            } else if (flag == "--out") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                opt.out = v;
-            } else {
-                std::cerr << "unknown flag: " << flag << "\n";
-                return false;
-            }
-        } catch (...) {
+        bool ok = true;
+        if (flag == "--cycles") {
+            ok = spec::readNumber(next(), opt.cycles);
+        } else if (flag == "--net-size") {
+            ok = spec::readNumber(next(), opt.netSize) &&
+                 (opt.netSize == 0 ||
+                  (opt.netSize >= 2 && isPowerOfTwo(opt.netSize)));
+        } else if (flag == "--rate") {
+            ok = spec::readNumber(next(), opt.rate, 0.0, 1.0);
+        } else if (flag == "--faults") {
+            std::size_t k = 0;
+            ok = spec::readNumber(next(), k);
+            opt.faults = k;
+        } else if (flag == "--no-cache") {
+            opt.noCache = true;
+        } else if (flag == "--cache-pairs") {
+            opt.cachePairs = true;
+        } else if (flag == "--trace-overhead") {
+            opt.traceOverhead = true;
+        } else if (flag == "--health-overhead") {
+            opt.healthOverhead = true;
+        } else if (flag == "--churn-overhead") {
+            opt.churnOverhead = true;
+        } else if (flag == "--traffic") {
+            const auto t = TrafficSpec::parse(std::string(next()));
+            ok = t.has_value();
+            if (t)
+                opt.traffic = *t;
+        } else if (flag == "--out") {
+            opt.out = next();
+            ok = !opt.out.empty();
+        } else {
+            std::cerr << "unknown flag: " << flag << "\n";
+            return false;
+        }
+        if (!ok) {
             std::cerr << "bad value for " << flag << "\n";
             return false;
         }
@@ -422,8 +399,7 @@ main(int argc, char **argv)
     if (!parseArgs(argc, argv, opt)) {
         std::cerr << "usage: bench_hotpath [--cycles N] "
                      "[--net-size N] [--rate R] [--faults K] "
-                     "[--no-cache] [--traffic "
-                     "uniform|transpose|bitrev|hotspot] "
+                     "[--no-cache] [--traffic SPEC] "
                      "[--trace-overhead] [--health-overhead] "
                      "[--churn-overhead] [--cache-pairs] "
                      "[--out FILE]\n";
@@ -437,6 +413,17 @@ main(int argc, char **argv)
         RoutingScheme::SsdtStatic, RoutingScheme::SsdtBalanced,
         RoutingScheme::TsdtSender, RoutingScheme::DistanceTag,
         RoutingScheme::TsdtDynamic};
+    for (const Label n_size : sizes) {
+        const FaultScenario pinned{FaultScenario::Kind::RandomLinks,
+                                   opt.faults.value_or(0)};
+        auto err = opt.traffic.validate(n_size);
+        if (!err)
+            err = pinned.validate(n_size);
+        if (err) {
+            std::cerr << "bench_hotpath: " << *err << "\n";
+            return 2;
+        }
+    }
 
     std::vector<ConfigResult> results;
     const auto record = [&results](const ConfigResult &r) {
@@ -450,11 +437,10 @@ main(int argc, char **argv)
         // faulted row (6 blockages per 64 nodes); --faults K pins
         // one row.
         const std::vector<std::size_t> fault_counts =
-            opt.faults >= 0
-                ? std::vector<std::size_t>{static_cast<std::size_t>(
-                      opt.faults)}
-                : std::vector<std::size_t>{
-                      0, static_cast<std::size_t>(6) * (n_size / 64)};
+            opt.faults ? std::vector<std::size_t>{*opt.faults}
+                       : std::vector<std::size_t>{
+                             0, static_cast<std::size_t>(6) *
+                                    (n_size / 64)};
         for (const std::size_t fault_links : fault_counts) {
             for (const RoutingScheme scheme : schemes) {
                 if (opt.traceOverhead) {

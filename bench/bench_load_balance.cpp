@@ -103,8 +103,7 @@ printReport()
                  "--\n";
     SweepGrid hot = c6;
     hot.injectionRates = {0.3};
-    hot.traffics = {
-        TrafficSpec{TrafficSpec::Kind::Hotspot, 0, 0.2}};
+    hot.traffics = {TrafficSpec::parse("hotspot:0:0.2").value()};
     const auto hot_results =
         sweepAndSave(hot, "load_balance_hotspot");
     for (const auto &cr : hot_results) {

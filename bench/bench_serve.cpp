@@ -60,6 +60,7 @@
 #include "bench_common.hpp"
 #include "common/json_writer.hpp"
 #include "common/rng.hpp"
+#include "common/spec_reader.hpp"
 #include "core/reroute.hpp"
 #include "serve/server.hpp"
 #include "sim/sweep.hpp"
@@ -585,10 +586,23 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (a == "--net")
-            opt.netSize = static_cast<Label>(
-                std::atoi(next().c_str()));
-        else if (a == "--faults")
+        // Strict numeric flag (common/spec_reader.hpp), at least lo.
+        const auto num = [&](auto &out, unsigned lo) {
+            using T = std::remove_reference_t<decltype(out)>;
+            const std::string v = next();
+            if (!spec::readNumber(v, out, T{lo})) {
+                std::cerr << "bad value for " << a << ": " << v
+                          << "\n";
+                std::exit(2);
+            }
+        };
+        if (a == "--net") {
+            num(opt.netSize, 2);
+            if (!isPowerOfTwo(opt.netSize)) {
+                std::cerr << "--net must be a power of two\n";
+                return 2;
+            }
+        } else if (a == "--faults")
             opt.faults = next();
         else if (a == "--mix") {
             opt.mix = next();
@@ -597,20 +611,15 @@ main(int argc, char **argv)
             opt.scheme = next();
             opt.ladder = false;
         } else if (a == "--requests")
-            opt.requests = static_cast<std::size_t>(
-                std::strtoull(next().c_str(), nullptr, 10));
+            num(opt.requests, 1);
         else if (a == "--window")
-            opt.window = static_cast<std::size_t>(
-                std::strtoull(next().c_str(), nullptr, 10));
+            num(opt.window, 1);
         else if (a == "--burst")
-            opt.burst = static_cast<std::size_t>(
-                std::strtoull(next().c_str(), nullptr, 10));
+            num(opt.burst, 1);
         else if (a == "--warmup")
-            opt.warmupPasses = static_cast<unsigned>(
-                std::atoi(next().c_str()));
+            num(opt.warmupPasses, 0);
         else if (a == "--seed")
-            opt.seed = static_cast<std::uint64_t>(
-                std::strtoull(next().c_str(), nullptr, 10));
+            num(opt.seed, 0);
         else if (a == "--replay") {
             opt.replay = next();
             opt.ladder = false;

@@ -73,10 +73,14 @@ main(int argc, char **argv)
     // Transpose needs an even bit count; fall back to bit reversal.
     if (log2Floor(n_size) % 2 == 0) {
         run("transpose perm / tsdt", RoutingScheme::TsdtSender,
-            makeTransposeTraffic(n_size), 0.4);
+            std::make_unique<PermutationTraffic>(
+                perm::transposePerm(n_size)),
+            0.4);
     } else {
         run("bit-reversal perm / tsdt", RoutingScheme::TsdtSender,
-            makeBitReversalTraffic(n_size), 0.4);
+            std::make_unique<PermutationTraffic>(
+                perm::bitReversalPerm(n_size)),
+            0.4);
     }
     run("uniform+storm / ssdt", RoutingScheme::SsdtStatic,
         std::make_unique<UniformTraffic>(n_size), 0.3, {}, true);

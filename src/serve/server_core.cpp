@@ -6,6 +6,7 @@
 
 #include "baselines/distance_tag.hpp"
 #include "common/modmath.hpp"
+#include "common/spec_reader.hpp"
 #include "core/distributed.hpp"
 #include "core/reroute.hpp"
 #include "serve/snapshot.hpp"
@@ -482,18 +483,16 @@ ServerCore::parseFaultArg(const topo::IadmTopology &net,
     if (spec.empty() || spec == "none")
         return true;
     if (const auto sc = sim::FaultScenario::parse(spec)) {
+        if (const auto bad = sc->validate(net.size())) {
+            err = "bad fault spec: " + *bad;
+            return false;
+        }
         Rng rng(seed ^ 0x5eedfa17ull);
         out.merge(sc->make(net, rng));
         return true;
     }
     // Fall back to explicit comma-separated link specs.
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        const auto comma = spec.find(',', pos);
-        const std::string one =
-            spec.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
+    for (const std::string &one : spec::split(spec, ',')) {
         topo::Link l{};
         if (!parseLinkSpec(net, one, l)) {
             err = "bad fault spec '" + one +
@@ -502,9 +501,6 @@ ServerCore::parseFaultArg(const topo::IadmTopology &net,
             return false;
         }
         out.blockLink(l);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
     }
     return true;
 }

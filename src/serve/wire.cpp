@@ -2,7 +2,8 @@
 
 #include <charconv>
 #include <cstdint>
-#include <sstream>
+
+#include "common/spec_reader.hpp"
 
 namespace iadm::serve {
 
@@ -311,16 +312,15 @@ bool
 parseLinkSpec(const topo::IadmTopology &net, const std::string &spec,
               topo::Link &out)
 {
-    unsigned stage;
-    Label from;
-    char kind, c1, c2;
-    std::istringstream is(spec);
-    if (!(is >> stage >> c1 >> from >> c2 >> kind) || c1 != ':' ||
-        c2 != ':')
+    const auto p = spec::split(spec, ':');
+    unsigned stage = 0;
+    Label from = 0;
+    if (p.size() != 3 || !spec::readUnsigned(p[0], stage) ||
+        !spec::readUnsigned(p[1], from) || p[2].size() != 1)
         return false;
     if (stage >= net.stages() || from >= net.size())
         return false;
-    switch (kind) {
+    switch (p[2][0]) {
       case 's': out = net.straightLink(stage, from); return true;
       case 'p': out = net.plusLink(stage, from); return true;
       case 'm': out = net.minusLink(stage, from); return true;

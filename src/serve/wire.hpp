@@ -109,8 +109,9 @@ class ResponseWriter
 
 /**
  * Parse a "stage:from:kind" link spec (kind one of s/p/m) against
- * @p net into @p out.  Shared by the daemon's inject-fault handler
- * and iadm_tool's route/trace fault arguments.
+ * @p net into @p out.  Strict: exactly three fields, decimal stage
+ * and switch in range, a one-letter kind.  Shared by the daemon's
+ * inject-fault handler and iadm_tool's route/trace fault arguments.
  */
 bool parseLinkSpec(const topo::IadmTopology &net,
                    const std::string &spec, topo::Link &out);

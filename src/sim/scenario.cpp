@@ -1,11 +1,11 @@
 #include "sim/scenario.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
+#include <span>
 
 #include "common/json_writer.hpp"
 #include "common/logging.hpp"
+#include "common/spec_reader.hpp"
 #include "core/multicast.hpp"
 #include "core/tsdt.hpp"
 #include "fault/fault_set.hpp"
@@ -20,41 +20,6 @@ namespace {
  *  the replicate seed, so every replicate of a cell storms the same
  *  destination sets. */
 constexpr std::uint64_t kMcastSalt = 0x3ca57a6e5eed5ull;
-
-std::vector<std::string>
-splitOn(const std::string &s, char sep)
-{
-    std::vector<std::string> parts;
-    std::string cur;
-    std::istringstream is(s);
-    while (std::getline(is, cur, sep))
-        parts.push_back(cur);
-    return parts;
-}
-
-bool
-parseDouble(const std::string &s, double &out)
-{
-    try {
-        std::size_t pos = 0;
-        out = std::stod(s, &pos);
-        return pos == s.size() && std::isfinite(out);
-    } catch (...) {
-        return false;
-    }
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    try {
-        std::size_t pos = 0;
-        out = std::stoull(s, &pos);
-        return pos == s.size() && !s.empty() && s[0] != '-';
-    } catch (...) {
-        return false;
-    }
-}
 
 unsigned
 labelBits(Label n_size)
@@ -316,25 +281,26 @@ class ScenarioTraffic : public TrafficPattern
 
 // --- parsing helpers ----------------------------------------------
 
+using Fields = std::span<const std::string>;
+
 bool
 parseHotNodes(const std::string &s, std::vector<Label> &out)
 {
     out.clear();
-    for (const auto &piece : splitOn(s, '+')) {
-        std::uint64_t v = 0;
-        if (!parseU64(piece, v))
+    for (const auto &piece : spec::split(s, '+')) {
+        Label node = 0;
+        if (!spec::readUnsigned(piece, node))
             return false;
-        const auto node = static_cast<Label>(v);
         if (std::find(out.begin(), out.end(), node) != out.end())
             return false; // duplicate hot node
         out.push_back(node);
     }
-    return !out.empty();
+    return true;
 }
 
 /** Parse a dst clause body (role prefix already stripped). */
 bool
-parseDst(const std::vector<std::string> &p, DstSpec &d)
+parseDst(Fields p, DstSpec &d)
 {
     if (p.empty())
         return false;
@@ -351,8 +317,8 @@ parseDst(const std::vector<std::string> &p, DstSpec &d)
         if (p.size() == 1)
             d.hotNodes = {0};
         if (p.size() >= 3 &&
-            (!parseDouble(p[2], d.hotFraction) ||
-             d.hotFraction < 0.0 || d.hotFraction > 1.0))
+            (!spec::readReal(p[2], d.hotFraction) ||
+             d.hotFraction > 1.0))
             return false;
         return true;
     }
@@ -365,18 +331,14 @@ parseDst(const std::vector<std::string> &p, DstSpec &d)
     if (p[0] == "shift") {
         d.kind = DstSpec::Kind::Perm;
         d.perm = DstSpec::PermFamily::Shift;
-        std::uint64_t v = 0;
-        if (p.size() != 2 || !parseU64(p[1], v) || v == 0)
-            return false;
-        d.permArg = static_cast<Label>(v);
-        return true;
+        return p.size() == 2 && spec::readUnsigned(p[1], d.permArg) &&
+               d.permArg != 0;
     }
     if (p[0] == "perm") {
         d.kind = DstSpec::Kind::Perm;
         if (p.size() < 2)
             return false;
         const std::string &fam = p[1];
-        std::uint64_t v = 0;
         if (fam == "shift" || fam == "complement" ||
             fam == "exchange") {
             d.perm = fam == "shift"
@@ -384,12 +346,11 @@ parseDst(const std::vector<std::string> &p, DstSpec &d)
                          : fam == "complement"
                                ? DstSpec::PermFamily::Complement
                                : DstSpec::PermFamily::Exchange;
-            if (p.size() != 3 || !parseU64(p[2], v))
+            if (p.size() != 3 || !spec::readUnsigned(p[2], d.permArg))
                 return false;
-            if (d.perm != DstSpec::PermFamily::Exchange && v == 0)
-                return false; // shift 0 / mask 0 = identity typo
-            d.permArg = static_cast<Label>(v);
-            return true;
+            // shift 0 / mask 0 = identity typo
+            return d.perm == DstSpec::PermFamily::Exchange ||
+                   d.permArg != 0;
         }
         if (p.size() != 2)
             return false;
@@ -409,48 +370,37 @@ parseDst(const std::vector<std::string> &p, DstSpec &d)
     }
     if (p[0] == "mcast") {
         d.kind = DstSpec::Kind::Multicast;
-        std::uint64_t g = 0, f = 0;
-        if (p.size() != 3 || !parseU64(p[1], g) ||
-            !parseU64(p[2], f))
-            return false;
-        if (g == 0 || f < 2)
-            return false;
-        d.groups = static_cast<std::uint32_t>(g);
-        d.fanout = static_cast<std::uint32_t>(f);
-        return true;
+        return p.size() == 3 && spec::readUnsigned(p[1], d.groups) &&
+               spec::readUnsigned(p[2], d.fanout) && d.groups != 0 &&
+               d.fanout >= 2;
     }
     return false;
 }
 
 /** Parse a shaper clause body (role prefix already stripped). */
 bool
-parseShaper(const std::vector<std::string> &p, ShaperSpec &s)
+parseShaper(Fields p, ShaperSpec &s)
 {
     if (p.empty())
         return false;
     if (p[0] == "bursty") {
         s.kind = ShaperSpec::Kind::Bursty;
-        return p.size() == 3 && parseDouble(p[1], s.burstLen) &&
-               parseDouble(p[2], s.idleLen) && s.burstLen >= 1.0 &&
+        return p.size() == 3 && spec::readReal(p[1], s.burstLen) &&
+               spec::readReal(p[2], s.idleLen) && s.burstLen >= 1.0 &&
                s.idleLen >= 1.0;
     }
     if (p[0] == "ramp") {
         s.kind = ShaperSpec::Kind::Ramp;
-        if (p.size() != 4 || !parseDouble(p[1], s.rampFrom) ||
-            !parseDouble(p[2], s.rampTo) ||
-            !parseU64(p[3], s.rampCycles))
-            return false;
-        return s.rampFrom >= 0.0 && s.rampFrom <= 1.0 &&
-               s.rampTo >= 0.0 && s.rampTo <= 1.0 &&
+        return p.size() == 4 && spec::readReal(p[1], s.rampFrom) &&
+               spec::readReal(p[2], s.rampTo) &&
+               spec::readUnsigned(p[3], s.rampCycles) &&
+               s.rampFrom <= 1.0 && s.rampTo <= 1.0 &&
                s.rampCycles >= 1;
     }
     if (p[0] == "closed") {
         s.kind = ShaperSpec::Kind::Closed;
-        std::uint64_t w = 0;
-        if (p.size() != 2 || !parseU64(p[1], w) || w == 0)
-            return false;
-        s.window = static_cast<std::uint32_t>(w);
-        return true;
+        return p.size() == 2 && spec::readUnsigned(p[1], s.window) &&
+               s.window != 0;
     }
     return false;
 }
@@ -532,29 +482,9 @@ makeDst(const DstSpec &d, Label n_size)
         return std::make_unique<MultiHotspotTraffic>(
             n_size, d.hotNodes, d.hotFraction);
       case DstSpec::Kind::Perm:
-        switch (d.perm) {
-          case DstSpec::PermFamily::Shift:
-            return makeShiftTraffic(n_size, d.permArg);
-          case DstSpec::PermFamily::BitReversal:
-            return makeBitReversalTraffic(n_size);
-          case DstSpec::PermFamily::Transpose:
-            return makeTransposeTraffic(n_size);
-          case DstSpec::PermFamily::Complement:
-            return std::make_unique<PermutationTraffic>(
-                perm::bitComplementPerm(n_size, d.permArg));
-          case DstSpec::PermFamily::Shuffle:
-            return std::make_unique<PermutationTraffic>(
-                perm::perfectShufflePerm(n_size));
-          case DstSpec::PermFamily::Exchange:
-            return std::make_unique<PermutationTraffic>(
-                perm::exchangePerm(
-                    n_size,
-                    static_cast<unsigned>(d.permArg)));
-        }
-        IADM_PANIC("unreachable perm family");
       case DstSpec::Kind::Adversarial:
         return std::make_unique<PermutationTraffic>(
-            adversarialPerm(n_size));
+            d.permutation(n_size));
       case DstSpec::Kind::Multicast:
         return std::make_unique<McastTraffic>(n_size, d.groups,
                                               d.fanout);
@@ -564,11 +494,59 @@ makeDst(const DstSpec &d, Label n_size)
 
 } // namespace
 
+// --- DstSpec -------------------------------------------------------
+
+iadm::perm::Permutation
+DstSpec::permutation(Label n_size) const
+{
+    if (kind == Kind::Adversarial)
+        return adversarialPerm(n_size);
+    IADM_ASSERT(kind == Kind::Perm, "not a permutation source");
+    switch (perm) {
+      case PermFamily::Shift:
+        return iadm::perm::shiftPerm(n_size, permArg);
+      case PermFamily::BitReversal:
+        return iadm::perm::bitReversalPerm(n_size);
+      case PermFamily::Transpose:
+        return iadm::perm::transposePerm(n_size);
+      case PermFamily::Complement:
+        return iadm::perm::bitComplementPerm(n_size, permArg);
+      case PermFamily::Shuffle:
+        return iadm::perm::perfectShufflePerm(n_size);
+      case PermFamily::Exchange:
+        return iadm::perm::exchangePerm(
+            n_size, static_cast<unsigned>(permArg));
+    }
+    IADM_PANIC("unreachable perm family");
+}
+
 // --- ScenarioSpec --------------------------------------------------
 
 std::string
 ScenarioSpec::name() const
 {
+    // Frozen alias table: an unshaped uniform, single-node hotspot,
+    // bitrev or transpose source keeps the legacy traffic spelling
+    // that the golden fixtures bake into report JSON.
+    if (shapers.empty()) {
+        switch (dst.kind) {
+          case DstSpec::Kind::Uniform:
+            return "uniform";
+          case DstSpec::Kind::Hotspot:
+            if (dst.hotNodes.size() == 1)
+                return "hotspot:" + std::to_string(dst.hotNodes[0]) +
+                       ":" + jsonNumber(dst.hotFraction);
+            break;
+          case DstSpec::Kind::Perm:
+            if (dst.perm == DstSpec::PermFamily::BitReversal)
+                return "bitrev";
+            if (dst.perm == DstSpec::PermFamily::Transpose)
+                return "transpose";
+            break;
+          default:
+            break;
+        }
+    }
     std::string out;
     for (std::size_t i = 0; i < shapers.size(); ++i) {
         out += shaperName(shapers[i], i == 0);
@@ -581,26 +559,23 @@ ScenarioSpec::name() const
 std::optional<ScenarioSpec>
 ScenarioSpec::parse(const std::string &spec)
 {
-    if (spec.empty())
-        return std::nullopt;
     ScenarioSpec s;
     bool have_dst = false;
-    for (const std::string &clause : splitOn(spec, '/')) {
-        const auto parts = splitOn(clause, ':');
-        if (parts.empty())
-            return std::nullopt;
+    for (const std::string &clause : spec::split(spec, '/')) {
+        const auto parts = spec::split(clause, ':');
+        const Fields args = Fields(parts).subspan(1);
         const std::string &role = parts[0];
         if (role == "dst") {
             if (have_dst)
                 return std::nullopt; // one destination source only
-            if (!parseDst({parts.begin() + 1, parts.end()}, s.dst))
+            if (!parseDst(args, s.dst))
                 return std::nullopt;
             have_dst = true;
             continue;
         }
         if (role == "shape" || role == "over") {
             ShaperSpec sh;
-            if (!parseShaper({parts.begin() + 1, parts.end()}, sh))
+            if (!parseShaper(args, sh))
                 return std::nullopt;
             s.shapers.push_back(sh);
             continue;

@@ -3,7 +3,7 @@
  * Composable traffic scenarios: a Click-style mini-grammar that
  * wires one destination source together with a stack of load
  * shapers into a single TrafficPattern (docs/SIMULATOR.md,
- * "Scenario grammar").
+ * "Spec grammar").
  *
  * A spec is a '/'-separated list of clauses, each `role:kind:args`:
  *
@@ -37,7 +37,10 @@
  * first canonically print as `over:`; parse treats `shape:` and
  * `over:` identically.  Bare legacy atoms ("uniform",
  * "hotspot:0:0.2", "bitrev", "transpose") and the short forms
- * "bursty:B:I" and "shift:K" are accepted as sugar.
+ * "bursty:B:I" and "shift:K" are accepted as sugar, and an unshaped
+ * spec whose source is one of the four legacy atoms prints as that
+ * atom (the frozen alias table of name()).  Fields are read by the
+ * strict readers of common/spec_reader.hpp.
  */
 
 #ifndef IADM_SIM_SCENARIO_HPP
@@ -83,6 +86,11 @@ struct DstSpec
     std::uint32_t groups = 4;               //!< Multicast
     std::uint32_t fanout = 8;               //!< Multicast
 
+    /** The fixed permutation of a Perm or Adversarial source (what
+     *  `iadm_tool perm` prints); @pre ScenarioSpec::validate passed
+     *  at @p n_size. */
+    iadm::perm::Permutation permutation(Label n_size) const;
+
     bool operator==(const DstSpec &) const = default;
 };
 
@@ -121,7 +129,10 @@ struct ScenarioSpec
      * Canonical spelling: shapers first (`shape:` then `over:`),
      * destination last, e.g.
      * "shape:ramp:0.1:0.9:2000/over:bursty:16:64/dst:hotspot:0:0.2".
-     * Re-parsing the canonical name yields an equal spec.
+     * Frozen aliases: with no shapers, a uniform, single-node
+     * hotspot, bitrev or transpose source prints as "uniform",
+     * "hotspot:N:F", "bitrev" or "transpose".  Re-parsing the
+     * canonical name yields an equal spec.
      */
     std::string name() const;
 

@@ -64,7 +64,16 @@ struct FaultScenario
     /** Parse the canonical spelling; nullopt on bad input. */
     static std::optional<FaultScenario> parse(const std::string &spec);
 
-    /** Materialize the scenario for one replicate (rng-seeded). */
+    /**
+     * N-dependent validation: the count must fit the pool it draws
+     * from (links, nonstraight links, switches).  nullopt when
+     * valid, else a one-line diagnostic; CLI front ends reject with
+     * exit 2.
+     */
+    std::optional<std::string> validate(Label n_size) const;
+
+    /** Materialize the scenario for one replicate (rng-seeded).
+     *  Fails fatally on a spec that validate() rejects. */
     fault::FaultSet make(const topo::IadmTopology &topo,
                          Rng &rng) const;
 
@@ -72,51 +81,12 @@ struct FaultScenario
 };
 
 /**
- * Traffic-pattern axis of the sweep grid.
- *
- * Four legacy kinds keep their frozen canonical spellings
- * ("uniform", "hotspot:<node>:<frac>", "bitrev", "transpose") — the
- * golden fixtures bake those names into report JSON.  Everything
- * else is Kind::Scenario: the spec string is handed to
- * ScenarioSpec::parse (sim/scenario.hpp), which also accepts the
- * short forms "bursty:B:I" and "shift:K", and the canonical name is
- * the scenario grammar's canonical spelling.
+ * Traffic-pattern axis of the sweep grid: a composed scenario
+ * (sim/scenario.hpp).  The legacy traffic kinds are scenario specs
+ * whose canonical names are the frozen aliases "uniform",
+ * "hotspot:<node>:<frac>", "bitrev" and "transpose".
  */
-struct TrafficSpec
-{
-    enum class Kind : std::uint8_t
-    {
-        Uniform,
-        Hotspot,     //!< hotFraction of traffic to hotNode
-        BitReversal,
-        Transpose,
-        Scenario,    //!< composed scenario (sim/scenario.hpp)
-    };
-
-    Kind kind = Kind::Uniform;
-    Label hotNode = 0;
-    double hotFraction = 0.2;
-    ScenarioSpec scenario; //!< used only when kind == Scenario
-
-    /** Canonical spelling, e.g. "uniform", "hotspot:0:0.2", or the
-     *  scenario grammar's canonical name. */
-    std::string name() const;
-
-    static std::optional<TrafficSpec> parse(const std::string &spec);
-
-    /**
-     * N-dependent validation (hot node < N, plus everything
-     * ScenarioSpec::validate checks).  nullopt when valid, else a
-     * one-line diagnostic; CLI front ends reject with exit 2.
-     */
-    std::optional<std::string> validate(Label n_size) const;
-
-    /** Materialize the pattern; fails fatally if validate(n_size)
-     *  rejects the spec (front ends must validate first). */
-    std::unique_ptr<TrafficPattern> make(Label n_size) const;
-
-    bool operator==(const TrafficSpec &) const = default;
-};
+using TrafficSpec = ScenarioSpec;
 
 /**
  * Fault-churn axis of the sweep grid: a seed-derived FaultProcess

@@ -58,25 +58,4 @@ BurstyTraffic::dutyCycle() const
     return pOffToOn_ / (pOffToOn_ + pOnToOff_);
 }
 
-std::unique_ptr<TrafficPattern>
-makeBitReversalTraffic(Label n_size)
-{
-    return std::make_unique<PermutationTraffic>(
-        perm::bitReversalPerm(n_size));
-}
-
-std::unique_ptr<TrafficPattern>
-makeTransposeTraffic(Label n_size)
-{
-    return std::make_unique<PermutationTraffic>(
-        perm::transposePerm(n_size));
-}
-
-std::unique_ptr<TrafficPattern>
-makeShiftTraffic(Label n_size, Label shift)
-{
-    return std::make_unique<PermutationTraffic>(
-        perm::shiftPerm(n_size, shift));
-}
-
 } // namespace iadm::sim

@@ -158,16 +158,6 @@ class BurstyTraffic : public TrafficPattern
     std::vector<std::uint8_t> on_;
 };
 
-/** Bit-reversal permutation traffic (a classic cube stressor). */
-std::unique_ptr<TrafficPattern> makeBitReversalTraffic(Label n_size);
-
-/** Matrix-transpose permutation traffic (n even). */
-std::unique_ptr<TrafficPattern> makeTransposeTraffic(Label n_size);
-
-/** Uniform-shift ("tornado"-style) permutation traffic. */
-std::unique_ptr<TrafficPattern> makeShiftTraffic(Label n_size,
-                                                 Label shift);
-
 } // namespace iadm::sim
 
 #endif // IADM_SIM_TRAFFIC_HPP

@@ -22,6 +22,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/spec_reader.hpp"
+#include "serve/wire.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
 
@@ -39,12 +41,12 @@ using namespace sim;
 TEST(ScenarioParse, CanonicalNameReparsesToEqualSpec)
 {
     for (const std::string spec : {
-             "dst:uniform",
-             "dst:hotspot:0:0.2",
+             "uniform",
+             "hotspot:0:0.2",
              "dst:hotspot:0+5+9:0.3",
              "dst:perm:shift:4",
-             "dst:perm:bitrev",
-             "dst:perm:transpose",
+             "bitrev",
+             "transpose",
              "dst:perm:complement:63",
              "dst:perm:shuffle",
              "dst:perm:exchange:2",
@@ -74,10 +76,10 @@ TEST(ScenarioParse, SugarAtomsNormalizeToCanonicalClauses)
         EXPECT_TRUE(s.has_value()) << spec;
         return s ? s->name() : std::string("<unparsed>");
     };
-    EXPECT_EQ(canon("uniform"), "dst:uniform");
-    EXPECT_EQ(canon("hotspot:0:0.2"), "dst:hotspot:0:0.2");
-    EXPECT_EQ(canon("bitrev"), "dst:perm:bitrev");
-    EXPECT_EQ(canon("transpose"), "dst:perm:transpose");
+    EXPECT_EQ(canon("uniform"), "uniform");
+    EXPECT_EQ(canon("hotspot:0:0.2"), "hotspot:0:0.2");
+    EXPECT_EQ(canon("bitrev"), "bitrev");
+    EXPECT_EQ(canon("transpose"), "transpose");
     EXPECT_EQ(canon("shift:5"), "dst:perm:shift:5");
     EXPECT_EQ(canon("bursty:16:64"), "shape:bursty:16:64/dst:uniform");
     // over: and shape: are interchangeable on input.
@@ -90,22 +92,42 @@ TEST(ScenarioParse, SugarAtomsNormalizeToCanonicalClauses)
 
 TEST(ScenarioParse, TrafficSpecRoundTripsThroughScenarioKind)
 {
-    // TrafficSpec::parse must keep the four legacy spellings frozen
-    // (golden fixtures bake them into report JSON) and route
-    // everything else through the scenario grammar.
-    for (const std::string spec :
-         {"uniform", "bitrev", "transpose", "hotspot:0:0.2"}) {
+    // TrafficSpec is ScenarioSpec.  The frozen alias table keeps the
+    // four legacy spellings (golden fixtures bake them into report
+    // JSON): an unshaped uniform, single-node hotspot, bitrev or
+    // transpose source prints as the legacy atom, whichever way it
+    // was written.
+    for (const auto &[spec, alias] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"uniform", "uniform"},
+             {"dst:uniform", "uniform"},
+             {"bitrev", "bitrev"},
+             {"dst:perm:bitrev", "bitrev"},
+             {"transpose", "transpose"},
+             {"dst:perm:transpose", "transpose"},
+             {"hotspot:0:0.2", "hotspot:0:0.2"},
+             {"hotspot", "hotspot:0:0.2"},
+             {"dst:hotspot:7:0.5", "hotspot:7:0.5"},
+         }) {
         const auto t = TrafficSpec::parse(spec);
         ASSERT_TRUE(t.has_value()) << spec;
-        EXPECT_NE(t->kind, TrafficSpec::Kind::Scenario) << spec;
-        EXPECT_EQ(t->name(), spec);
+        EXPECT_EQ(t->name(), alias) << spec;
     }
-    for (const std::string spec :
-         {"shift:5", "bursty:16:64", "dst:adversarial",
-          "dst:hotspot:0+5:0.3", "shape:closed:4/dst:uniform"}) {
+    EXPECT_EQ(TrafficSpec{}.name(), "uniform");
+    // Shaped, multi-node and non-legacy sources keep the scenario
+    // grammar's canonical clauses.
+    for (const auto &[spec, canonical] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"shift:5", "dst:perm:shift:5"},
+             {"bursty:16:64", "shape:bursty:16:64/dst:uniform"},
+             {"dst:adversarial", "dst:adversarial"},
+             {"dst:hotspot:0+5:0.3", "dst:hotspot:0+5:0.3"},
+             {"shape:closed:4/bitrev",
+              "shape:closed:4/dst:perm:bitrev"},
+         }) {
         const auto t = TrafficSpec::parse(spec);
         ASSERT_TRUE(t.has_value()) << spec;
-        EXPECT_EQ(t->kind, TrafficSpec::Kind::Scenario) << spec;
+        EXPECT_EQ(t->name(), canonical) << spec;
         const auto again = TrafficSpec::parse(t->name());
         ASSERT_TRUE(again.has_value()) << t->name();
         EXPECT_TRUE(*again == *t) << spec;
@@ -182,6 +204,195 @@ TEST(ScenarioValidate, RejectsOutOfRangeSpecsAtN)
     EXPECT_NE(diag("dst:mcast:4:65", 64), ""); // fanout > N
     EXPECT_NE(diag("dst:mcast:128:8", 64), ""); // groups > N
     EXPECT_EQ(diag("dst:mcast:4:8", 64), "");
+}
+
+TEST(ScenarioValidate, FaultCountsMustFitTheirPoolAtN)
+{
+    // N=64, n=6: 384 switches of 3 links each; whole-switch faults
+    // hit the 5 inner columns only.
+    const Label n = 64;
+    const topo::IadmTopology topo(n);
+    for (const auto &[spec, pool] :
+         std::vector<std::pair<std::string, std::size_t>>{
+             {"links", 1152},
+             {"nonstraight", 768},
+             {"double", 384},
+             {"switches", 320},
+         }) {
+        const auto full =
+            FaultScenario::parse(spec + ":" + std::to_string(pool));
+        ASSERT_TRUE(full.has_value()) << spec;
+        EXPECT_FALSE(full->validate(n).has_value()) << spec;
+        Rng rng(1);
+        (void)full->make(topo, rng); // the boundary draws, no abort
+        const auto over = FaultScenario::parse(
+            spec + ":" + std::to_string(pool + 1));
+        ASSERT_TRUE(over.has_value()) << spec;
+        EXPECT_TRUE(over->validate(n).has_value()) << spec;
+    }
+    for (const std::string spec :
+         {"links:5000", "nonstraight:5000", "switches:999",
+          "double:999"}) {
+        EXPECT_TRUE(FaultScenario::parse(spec)->validate(n))
+            << "should not fit N=64: " << spec;
+    }
+    EXPECT_FALSE(FaultScenario{}.validate(2).has_value());
+}
+
+// --- hostile input, every spec grammar ----------------------------
+
+/**
+ * Forms every grammar must reject: trailing or doubled separators,
+ * signs, whitespace, trailing junk, exponent and hex spellings of
+ * integers, non-finite reals and values that overflow their field
+ * (docs/SIMULATOR.md, "Spec grammar").
+ */
+const std::vector<std::string> kHostileTraffic = {
+    "uniform:", "dst:uniform/", "/dst:uniform",
+    "dst:uniform//shape:closed:4", "shape:closed: -1",
+    "shape:closed:-1", "shape:closed:+4", "shape:closed:4 ",
+    "shape:closed:4294967296", "shape:ramp:0.1:0.9:1e3",
+    "shape:ramp:0.1:0.9:2000:", "bursty:16:nan", "bursty:16:inf",
+    "bursty:16:64x", "bursty: 16:64", "hotspot:0:0.2:",
+    "hotspot:+1:0.2", "hotspot:1x:0.2", "hotspot:0:0x2",
+    "hotspot:0:-0", "dst:hotspot:0+:0.2", "dst:hotspot:+0:0.2",
+    "dst:hotspot:4294967296:0.2", "dst:mcast:4:8x",
+    "dst:mcast:4294967300:8",
+};
+const std::vector<std::string> kHostilePerm = {
+    "shift:x", "shift:4x", "shift:4:", "dst:perm:shift:x",
+    "dst:perm:shift:-4", "dst:perm:shift:4294967297",
+    "dst:perm:exchange:-1", "dst:perm:complement:1e3",
+    "dst:perm:bitrev:", "dst:perm:shuffle:0",
+};
+const std::vector<std::string> kHostileFault = {
+    "links:4x", "switches:1e3", "links:-1", "links:4:", "links:",
+    "links: 4", "links:+4", "links:18446744073709551616", "none:",
+    "", "nonstraight:0x10", "double:4.0",
+};
+const std::vector<std::string> kHostileChurn = {
+    "geometric:400x:80", "burst:10:5:-1", "geometric:nan:80",
+    "bernoulli:nan:0.1", "bernoulli:0.1:nan", "geometric:inf:80",
+    "geometric:1e999:80", "geometric:400:80:", "geometric: 400:80",
+    "bernoulli:-0:0.1", "burst:10:5:4294967296", "burst:10:5:2x",
+    "none:", "",
+};
+const std::vector<std::string> kHostileLink = {
+    "1:0:sx", "1:0:s:9", " 1:0:s", "1:0:s ", "1::s", "-1:0:s",
+    "+1:0:s", "1:-0:s", "1:0:", "1:4294967296:s", "1:0:S",
+    "1e0:0:s", "1:0x1:s", "1:0:s,2:0:s",
+};
+
+TEST(ScenarioParse, HostileInputIsRejectedByEveryGrammar)
+{
+    for (const auto *table : {&kHostileTraffic, &kHostilePerm})
+        for (const auto &spec : *table)
+            EXPECT_FALSE(TrafficSpec::parse(spec).has_value())
+                << "traffic grammar accepted: '" << spec << "'";
+    for (const auto &spec : kHostileFault)
+        EXPECT_FALSE(FaultScenario::parse(spec).has_value())
+            << "fault grammar accepted: '" << spec << "'";
+    for (const auto &spec : kHostileChurn)
+        EXPECT_FALSE(ChurnSpec::parse(spec).has_value())
+            << "churn grammar accepted: '" << spec << "'";
+    const topo::IadmTopology net(16);
+    for (const auto &spec : kHostileLink) {
+        topo::Link l{};
+        EXPECT_FALSE(serve::parseLinkSpec(net, spec, l))
+            << "link grammar accepted: '" << spec << "'";
+    }
+}
+
+TEST(ScenarioParse, NumberReadersAreStrict)
+{
+    EXPECT_EQ(spec::split("a::b:", ':'),
+              (std::vector<std::string>{"a", "", "b", ""}));
+    EXPECT_EQ(spec::split("", ':'), std::vector<std::string>{""});
+
+    std::uint64_t u = 7;
+    for (const std::string bad :
+         {"", "abc", "2x0", "-1", "+1", " 1", "1 ", "1e3", "0x10",
+          "1.0", "18446744073709551616"})
+        EXPECT_FALSE(spec::readUnsigned(bad, u)) << "'" << bad << "'";
+    EXPECT_EQ(u, 7u) << "a failed read must not touch its output";
+    Label label = 0;
+    EXPECT_FALSE(spec::readUnsigned("4294967296", label));
+    EXPECT_TRUE(spec::readUnsigned("4294967295", label));
+    EXPECT_EQ(label, 4294967295u);
+
+    double d = 0.5;
+    for (const std::string bad :
+         {"", "abc", "nan", "inf", "-inf", "-1", "-0", "+1", " 1",
+          "1 ", "1e999", "0.2x", "1,5"})
+        EXPECT_FALSE(spec::readReal(bad, d)) << "'" << bad << "'";
+    EXPECT_EQ(d, 0.5);
+    EXPECT_TRUE(spec::readReal("1e-05", d));
+    EXPECT_EQ(d, 1e-05);
+
+    // The CLI's numeric arguments: rate in [0, 1], cycle counts,
+    // worker counts.
+    EXPECT_FALSE(spec::readNumber("1.7", d, 0.0, 1.0));
+    EXPECT_TRUE(spec::readNumber("1", d, 0.0, 1.0));
+    unsigned workers = 0;
+    EXPECT_FALSE(spec::readNumber("4x", workers));
+    EXPECT_FALSE(spec::readNumber("4294967296", workers));
+    EXPECT_FALSE(spec::readNumber("0", workers, 1u));
+}
+
+/** Whatever a grammar accepts, its name() must print without a
+ *  panic and re-parse to an equal spec. */
+template <class Spec>
+void
+expectAcceptedNamesRoundTrip(const std::vector<std::string> &inputs)
+{
+    for (const auto &in : inputs) {
+        const auto s = Spec::parse(in);
+        if (!s)
+            continue;
+        const std::string name = s->name();
+        const auto again = Spec::parse(name);
+        ASSERT_TRUE(again.has_value()) << in << " -> " << name;
+        EXPECT_TRUE(*again == *s) << in << " -> " << name;
+    }
+}
+
+TEST(ScenarioParse, EveryAcceptedSpecNameReparsesToEqualSpec)
+{
+    std::vector<std::string> traffic = {
+        "uniform", "dst:uniform", "hotspot", "hotspot:3",
+        "hotspot:0:0.2", "dst:hotspot:0+5+9:0.3", "bitrev",
+        "transpose", "dst:perm:transpose", "shift:5",
+        "dst:perm:complement:63", "dst:perm:shuffle",
+        "dst:perm:exchange:0", "dst:adversarial", "dst:mcast:4:8",
+        "bursty:16:64", "over:bursty:16:64/dst:uniform",
+        "dst:uniform/shape:closed:4", "shape:closed:4294967295",
+        "shape:ramp:0.1:0.9:2000/over:bursty:16:64/dst:hotspot:0:0.2",
+        "shape:bursty:8:32/over:closed:2/dst:perm:bitrev",
+        "shape:ramp:0:1:18446744073709551615/dst:perm:bitrev",
+        "hotspot:4294967295:1e-300",
+    };
+    traffic.insert(traffic.end(), kHostileTraffic.begin(),
+                   kHostileTraffic.end());
+    traffic.insert(traffic.end(), kHostilePerm.begin(),
+                   kHostilePerm.end());
+    expectAcceptedNamesRoundTrip<TrafficSpec>(traffic);
+
+    std::vector<std::string> fault = {
+        "none", "links:4", "nonstraight:3", "double:2", "switches:1",
+        "links:0", "links:18446744073709551615",
+    };
+    fault.insert(fault.end(), kHostileFault.begin(),
+                 kHostileFault.end());
+    expectAcceptedNamesRoundTrip<FaultScenario>(fault);
+
+    std::vector<std::string> churn = {
+        "none", "bernoulli:0.001:0.05", "bernoulli:1e-05:0.01",
+        "bernoulli:0:1", "geometric:300:60", "geometric:1e300:1",
+        "burst:400:120:4", "burst:18446744073709551615:1:4294967295",
+    };
+    churn.insert(churn.end(), kHostileChurn.begin(),
+                 kHostileChurn.end());
+    expectAcceptedNamesRoundTrip<ChurnSpec>(churn);
 }
 
 // --- destination-source statistics --------------------------------

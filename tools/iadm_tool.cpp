@@ -22,19 +22,22 @@
  *                     (queue/state heatmaps from a binary trace)
  *
  * Blocked links are written stage:from:kind with kind one of
- * s (straight), p (+2^i), m (-2^i); e.g. "1:0:s 0:1:m".
+ * s (straight), p (+2^i), m (-2^i); e.g. "1:0:s 0:1:m".  Every spec
+ * and numeric argument is read strictly (common/spec_reader.hpp);
+ * a malformed or out-of-range value exits 2 with a diagnostic that
+ * names the argument.
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/spec_reader.hpp"
 #include "core/distributed.hpp"
 #include "core/oracle.hpp"
 #include "core/pivot.hpp"
@@ -156,23 +159,38 @@ printVersion()
     return 0;
 }
 
-std::vector<std::string>
-splitCommas(const std::string &s)
+/**
+ * Read numeric argument @p what of @p cmd strictly and check it
+ * against [lo, hi]; on a bad value print a diagnostic naming the
+ * argument and return false (the caller exits 2).
+ */
+template <class T>
+bool
+readArg(const char *cmd, const char *what, const std::string &v, T &out,
+        T lo = T{}, T hi = std::numeric_limits<T>::max())
 {
-    std::vector<std::string> parts;
-    std::string cur;
-    std::istringstream is(s);
-    while (std::getline(is, cur, ','))
-        parts.push_back(cur);
-    return parts;
+    if (spec::readNumber(v, out, lo, hi))
+        return true;
+    std::cerr << "iadm_tool " << cmd << ": bad " << what << " '" << v
+              << "' (want "
+              << (std::is_floating_point_v<T> ? "a number" : "an integer");
+    if (hi == std::numeric_limits<T>::max())
+        std::cerr << " >= " << lo << ")\n";
+    else
+        std::cerr << " in [" << lo << ", " << hi << "])\n";
+    return false;
 }
 
+/** Read a network size: a power of two >= 2. */
 bool
-parseLink(const topo::IadmTopology &net, const std::string &spec,
-          topo::Link &out)
+readSize(const char *cmd, const char *what, const std::string &v,
+         Label &out)
 {
-    // Shared with the daemon's inject-fault handler.
-    return serve::parseLinkSpec(net, spec, out);
+    if (spec::readNumber(v, out, Label{2}) && isPowerOfTwo(out))
+        return true;
+    std::cerr << "iadm_tool " << cmd << ": bad " << what << " '" << v
+              << "' (want a power of two >= 2)\n";
+    return false;
 }
 
 int
@@ -198,14 +216,13 @@ cmdRoute(Label n_size, Label s, Label d,
                 std::cerr << "--repeat needs a count\n";
                 return 2;
             }
-            repeat = static_cast<unsigned>(
-                std::atoi(link_specs[++i].c_str()));
-            if (repeat == 0)
-                repeat = 1;
+            if (!readArg("route", "--repeat", link_specs[++i], repeat,
+                         1u))
+                return 2;
             continue;
         }
         topo::Link l{};
-        if (!parseLink(net, spec, l)) {
+        if (!serve::parseLinkSpec(net, spec, l)) {
             std::cerr << "bad link spec: " << spec << "\n";
             return 2;
         }
@@ -312,30 +329,21 @@ cmdCensus(Label n_size)
 int
 cmdPerm(Label n_size, const std::string &spec)
 {
+    // identity, or a permutation family of the scenario grammar
+    // (the body of a dst:perm: clause: shift:K, bitrev, ...).
     perm::Permutation p(n_size);
-    const auto col = spec.find(':');
-    const std::string name = spec.substr(0, col);
-    const Label arg =
-        col == std::string::npos
-            ? 0
-            : static_cast<Label>(std::atoi(spec.c_str() + col + 1));
-    if (name == "identity")
-        p = perm::Permutation(n_size);
-    else if (name == "shift")
-        p = perm::shiftPerm(n_size, arg % n_size);
-    else if (name == "bitrev")
-        p = perm::bitReversalPerm(n_size);
-    else if (name == "complement")
-        p = perm::bitComplementPerm(n_size, arg % n_size);
-    else if (name == "shuffle")
-        p = perm::perfectShufflePerm(n_size);
-    else if (name == "exchange")
-        p = perm::exchangePerm(n_size, arg);
-    else if (name == "transpose")
-        p = perm::transposePerm(n_size);
-    else {
-        std::cerr << "unknown permutation: " << name << "\n";
-        return 2;
+    if (spec != "identity") {
+        const auto sc = sim::ScenarioSpec::parse("dst:perm:" + spec);
+        if (!sc || !sc->shapers.empty()) {
+            std::cerr << "iadm_tool perm: bad permutation spec '"
+                      << spec << "'\n";
+            return 2;
+        }
+        if (const auto err = sc->validate(n_size)) {
+            std::cerr << "iadm_tool perm: " << *err << "\n";
+            return 2;
+        }
+        p = sc->dst.permutation(n_size);
     }
     std::cout << "perm: " << p.str() << "\n";
     const auto offsets = perm::passingOffsets(p);
@@ -423,8 +431,9 @@ cmdSim(Label n_size, const std::string &scheme, double rate,
             }
             churn = *c;
         } else if (extra[i] == "--max-age" && i + 1 < extra.size()) {
-            cfg.maxPacketAge = static_cast<sim::Cycle>(
-                std::strtoull(extra[++i].c_str(), nullptr, 10));
+            if (!readArg("sim", "--max-age", extra[++i],
+                         cfg.maxPacketAge))
+                return 2;
         } else {
             std::cerr << "sim: bad flag " << extra[i] << "\n";
             return 2;
@@ -437,7 +446,7 @@ cmdSim(Label n_size, const std::string &scheme, double rate,
         return 2;
     }
     sim::NetworkSim s(cfg, traffic.make(n_size));
-    if (traffic.kind != sim::TrafficSpec::Kind::Uniform)
+    if (traffic != sim::TrafficSpec{})
         std::cout << "scenario: " << traffic.name() << "\n";
     if (churn.kind != sim::ChurnSpec::Kind::None) {
         const topo::IadmTopology net(n_size);
@@ -539,8 +548,10 @@ cmdTrace(const std::vector<std::string> &args)
 {
     if (args.size() < 2)
         return usage();
-    const auto src = static_cast<Label>(std::atoi(args[0].c_str()));
-    const auto dst = static_cast<Label>(std::atoi(args[1].c_str()));
+    Label src = 0, dst = 0;
+    if (!readArg("trace", "<src>", args[0], src) ||
+        !readArg("trace", "<dst>", args[1], dst))
+        return 2;
     Label n_size = 16;
     auto scheme = obs::ReplayScheme::Tsdt;
     std::vector<std::string> fault_specs;
@@ -553,11 +564,8 @@ cmdTrace(const std::vector<std::string> &args)
         }
         const std::string val = args[++i];
         if (flag == "--n") {
-            n_size = static_cast<Label>(std::atoi(val.c_str()));
-            if (!isPowerOfTwo(n_size) || n_size < 2) {
-                std::cerr << "trace: N must be a power of two >= 2\n";
+            if (!readSize("trace", "--n", val, n_size))
                 return 2;
-            }
         } else if (flag == "--scheme") {
             if (val == "ssdt")
                 scheme = obs::ReplayScheme::Ssdt;
@@ -568,7 +576,7 @@ cmdTrace(const std::vector<std::string> &args)
                 return 2;
             }
         } else if (flag == "--faults") {
-            for (const auto &f : splitCommas(val))
+            for (const auto &f : spec::split(val, ','))
                 fault_specs.push_back(f);
         } else if (flag == "--export") {
             export_json = val;
@@ -589,7 +597,7 @@ cmdTrace(const std::vector<std::string> &args)
     fault::FaultSet faults;
     for (const auto &spec : fault_specs) {
         topo::Link l{};
-        if (!parseLink(net, spec, l)) {
+        if (!serve::parseLinkSpec(net, spec, l)) {
             std::cerr << "trace: bad link spec: " << spec << "\n";
             return 2;
         }
@@ -682,18 +690,18 @@ cmdSweep(const std::vector<std::string> &args)
             return 2;
         }
         const std::string val = args[++i];
+        bool ok = true;
         if (flag == "--sizes") {
             grid.netSizes.clear();
-            for (const auto &v : splitCommas(val)) {
-                const auto n =
-                    static_cast<Label>(std::atoi(v.c_str()));
-                if (!isPowerOfTwo(n) || n < 2)
-                    return bad("size", v);
+            for (const auto &v : spec::split(val, ',')) {
+                Label n = 0;
+                if (!readSize("sweep", "--sizes", v, n))
+                    return 2;
                 grid.netSizes.push_back(n);
             }
         } else if (flag == "--schemes") {
             grid.schemes.clear();
-            for (const auto &v : splitCommas(val)) {
+            for (const auto &v : spec::split(val, ',')) {
                 const auto s = sim::parseRoutingScheme(v);
                 if (!s)
                     return bad("scheme", v);
@@ -701,20 +709,23 @@ cmdSweep(const std::vector<std::string> &args)
             }
         } else if (flag == "--rates") {
             grid.injectionRates.clear();
-            for (const auto &v : splitCommas(val))
-                grid.injectionRates.push_back(std::atof(v.c_str()));
+            for (const auto &v : spec::split(val, ',')) {
+                double r = 0.0;
+                if (!readArg("sweep", "--rates", v, r, 0.0, 1.0))
+                    return 2;
+                grid.injectionRates.push_back(r);
+            }
         } else if (flag == "--caps") {
             grid.queueCapacities.clear();
-            for (const auto &v : splitCommas(val)) {
-                const auto c = std::atoi(v.c_str());
-                if (c < 1)
-                    return bad("queue capacity", v);
-                grid.queueCapacities.push_back(
-                    static_cast<std::size_t>(c));
+            for (const auto &v : spec::split(val, ',')) {
+                std::size_t c = 0;
+                if (!readArg("sweep", "--caps", v, c, std::size_t{1}))
+                    return 2;
+                grid.queueCapacities.push_back(c);
             }
         } else if (flag == "--faults") {
             grid.faults.clear();
-            for (const auto &v : splitCommas(val)) {
+            for (const auto &v : spec::split(val, ',')) {
                 const auto f = sim::FaultScenario::parse(v);
                 if (!f)
                     return bad("fault scenario", v);
@@ -725,7 +736,7 @@ cmdSweep(const std::vector<std::string> &args)
             // composed specs.  Commas separate axis values, so
             // multi-node hotspot lists use '+' (dst:hotspot:0+5:0.3).
             grid.traffics.clear();
-            for (const auto &v : splitCommas(val)) {
+            for (const auto &v : spec::split(val, ',')) {
                 const auto t = sim::TrafficSpec::parse(v);
                 if (!t)
                     return bad("traffic spec", v);
@@ -733,39 +744,34 @@ cmdSweep(const std::vector<std::string> &args)
             }
         } else if (flag == "--churn") {
             grid.churns.clear();
-            for (const auto &v : splitCommas(val)) {
+            for (const auto &v : spec::split(val, ',')) {
                 const auto c = sim::ChurnSpec::parse(v);
                 if (!c)
                     return bad("churn spec", v);
                 grid.churns.push_back(*c);
             }
         } else if (flag == "--max-age") {
-            grid.maxPacketAge =
-                static_cast<sim::Cycle>(std::strtoull(
-                    val.c_str(), nullptr, 10));
+            ok = readArg("sweep", "--max-age", val, grid.maxPacketAge);
         } else if (flag == "--crossbar") {
             grid.crossbarModes.clear();
-            for (const auto &v : splitCommas(val))
+            for (const auto &v : spec::split(val, ',')) {
+                if (v != "0" && v != "1" && v != "false" &&
+                    v != "true")
+                    return bad("crossbar mode", v);
                 grid.crossbarModes.push_back(v == "1" ||
                                              v == "true");
+            }
         } else if (flag == "--replicates") {
-            grid.replicates =
-                static_cast<unsigned>(std::atoi(val.c_str()));
-            if (grid.replicates == 0)
-                return bad("replicate count", val);
+            ok = readArg("sweep", "--replicates", val, grid.replicates,
+                         1u);
         } else if (flag == "--warmup") {
-            grid.warmupCycles =
-                static_cast<sim::Cycle>(std::atoll(val.c_str()));
+            ok = readArg("sweep", "--warmup", val, grid.warmupCycles);
         } else if (flag == "--cycles") {
-            grid.measureCycles =
-                static_cast<sim::Cycle>(std::atoll(val.c_str()));
+            ok = readArg("sweep", "--cycles", val, grid.measureCycles);
         } else if (flag == "--seed") {
-            grid.masterSeed =
-                static_cast<std::uint64_t>(std::strtoull(
-                    val.c_str(), nullptr, 10));
+            ok = readArg("sweep", "--seed", val, grid.masterSeed);
         } else if (flag == "--workers") {
-            workers =
-                static_cast<unsigned>(std::atoi(val.c_str()));
+            ok = readArg("sweep", "--workers", val, workers);
         } else if (flag == "--out") {
             out_path = val;
         } else if (flag == "--trace-dir") {
@@ -774,15 +780,25 @@ cmdSweep(const std::vector<std::string> &args)
             std::cerr << "sweep: unknown flag " << flag << "\n";
             return 2;
         }
+        if (!ok)
+            return 2;
     }
 
-    // N-dependent spec checks: every traffic axis value must be valid
-    // at every swept size (hotspot node < N, transpose bits, ...).
-    for (const auto &t : grid.traffics) {
-        for (const Label n : grid.netSizes) {
+    // N-dependent spec checks: every traffic and fault axis value
+    // must be valid at every swept size (hotspot node < N, transpose
+    // bits, fault count within its pool, ...).
+    for (const Label n : grid.netSizes) {
+        for (const auto &t : grid.traffics) {
             if (const auto err = t.validate(n)) {
                 std::cerr << "sweep: invalid traffic spec '"
                           << t.name() << "': " << *err << "\n";
+                return 2;
+            }
+        }
+        for (const auto &f : grid.faults) {
+            if (const auto err = f.validate(n)) {
+                std::cerr << "sweep: invalid fault scenario: " << *err
+                          << "\n";
                 return 2;
             }
         }
@@ -884,12 +900,8 @@ cmdServe(const std::vector<std::string> &args)
         }
         const std::string val = args[++i];
         if (flag == "--net") {
-            cfg.netSize = static_cast<Label>(std::atoi(val.c_str()));
-            if (!isPowerOfTwo(cfg.netSize) || cfg.netSize < 2) {
-                std::cerr << "serve: N must be a power of two"
-                             " >= 2\n";
+            if (!readSize("serve", "--net", val, cfg.netSize))
                 return 2;
-            }
         } else if (flag == "--scheme") {
             const auto s = sim::parseRoutingScheme(val);
             if (!s) {
@@ -910,14 +922,15 @@ cmdServe(const std::vector<std::string> &args)
             }
             cfg.churn = *c;
         } else if (flag == "--cache-capacity") {
-            cfg.cacheCapacity = static_cast<std::size_t>(
-                std::strtoull(val.c_str(), nullptr, 10));
+            if (!readArg("serve", "--cache-capacity", val,
+                         cfg.cacheCapacity))
+                return 2;
         } else if (flag == "--tick-us") {
-            cfg.tickUs =
-                static_cast<unsigned>(std::atoi(val.c_str()));
+            if (!readArg("serve", "--tick-us", val, cfg.tickUs))
+                return 2;
         } else if (flag == "--seed") {
-            cfg.seed = static_cast<std::uint64_t>(
-                std::strtoull(val.c_str(), nullptr, 10));
+            if (!readArg("serve", "--seed", val, cfg.seed))
+                return 2;
         } else {
             std::cerr << "serve: unknown flag " << flag << "\n";
             return 2;
@@ -998,8 +1011,10 @@ main(int argc, char **argv)
         if (argc < 4)
             return missingArg("snapshot", "cycle",
                               "snapshot <trace.bin> <cycle>");
-        return cmdSnapshot(argv[2], static_cast<std::uint64_t>(
-                                        std::atoll(argv[3])));
+        std::uint64_t cycle = 0;
+        if (!readArg("snapshot", "<cycle>", argv[3], cycle))
+            return 2;
+        return cmdSnapshot(argv[2], cycle);
     }
 
     const bool known_n_cmd = cmd == "diagram" || cmd == "route" ||
@@ -1013,11 +1028,9 @@ main(int argc, char **argv)
     if (argc < 3)
         return missingArg(cmd.c_str(), "N",
                           (cmd + " <N> ...").c_str());
-    const auto n_size = static_cast<Label>(std::atoi(argv[2]));
-    if (!isPowerOfTwo(n_size) || n_size < 2) {
-        std::cerr << "N must be a power of two >= 2\n";
+    Label n_size = 0;
+    if (!readSize(cmd.c_str(), "<N>", argv[2], n_size))
         return 2;
-    }
     if (cmd == "diagram")
         return cmdDiagram(n_size);
     if (cmd == "route" || cmd == "paths") {
@@ -1030,8 +1043,12 @@ main(int argc, char **argv)
             return missingArg(cmd.c_str(), "src", synopsis);
         if (argc < 5)
             return missingArg(cmd.c_str(), "dst", synopsis);
-        const auto src = static_cast<Label>(std::atoi(argv[3]));
-        const auto dst = static_cast<Label>(std::atoi(argv[4]));
+        Label src = 0, dst = 0;
+        if (!readArg(cmd.c_str(), "<src>", argv[3], src, Label{0},
+                     n_size - 1) ||
+            !readArg(cmd.c_str(), "<dst>", argv[4], dst, Label{0},
+                     n_size - 1))
+            return 2;
         if (cmd == "paths")
             return cmdPaths(n_size, src, dst);
         std::vector<std::string> specs(argv + 5, argv + argc);
@@ -1053,7 +1070,11 @@ main(int argc, char **argv)
         return missingArg("sim", "rate", sim_synopsis);
     if (argc < 6)
         return missingArg("sim", "cycles", sim_synopsis);
-    return cmdSim(n_size, argv[3], std::atof(argv[4]),
-                  static_cast<sim::Cycle>(std::atoll(argv[5])),
+    double rate = 0.0;
+    sim::Cycle cycles = 0;
+    if (!readArg("sim", "<rate>", argv[4], rate, 0.0, 1.0) ||
+        !readArg("sim", "<cycles>", argv[5], cycles))
+        return 2;
+    return cmdSim(n_size, argv[3], rate, cycles,
                   std::vector<std::string>(argv + 6, argv + argc));
 }
